@@ -4,10 +4,9 @@
 /// dimension-tree scheme "could expect a further reduction in per-iteration
 /// CP-ALS time of around 50% in the 3D case and 2x in the 4D case (and
 /// higher for larger N)". The scheme now lives in the sweep-plan layer
-/// (SweepScheme::DimTree); this bench measures per-sweep MTTKRP seconds of
-/// the standard PerMode sweep against the full dimension tree AND the
-/// depth-1 tree (the old two-group scheme) for N = 3..6 cubes — the
-/// tree-depth ablation. --json writes the BENCH_pr3.json record.
+/// (SweepScheme::DimTree, the two-group tree); this bench measures
+/// per-sweep MTTKRP seconds of the standard PerMode sweep against it for
+/// N = 3..6 cubes. --json writes the BENCH_pr3.json record.
 
 #include <cstdio>
 #include <cstring>
@@ -24,7 +23,7 @@ namespace {
 using namespace dmtk;
 
 double mttkrp_seconds_per_sweep(const Tensor& X, index_t rank, int threads,
-                                SweepScheme scheme, int levels, int sweeps) {
+                                SweepScheme scheme, int sweeps) {
   ExecContext ctx(threads);
   CpAlsOptions opts;
   opts.rank = rank;
@@ -33,7 +32,6 @@ double mttkrp_seconds_per_sweep(const Tensor& X, index_t rank, int threads,
   opts.compute_fit = false;
   opts.exec = &ctx;
   opts.sweep_scheme = scheme;
-  opts.dimtree_levels = levels;
   const CpAlsResult r = cp_als(X, opts);
   std::vector<double> per_sweep;
   for (const auto& it : r.iters) per_sweep.push_back(it.mttkrp_seconds);
@@ -46,7 +44,6 @@ struct Case {
   int threads = 1;
   double permode_s = 0.0;
   double dimtree_s = 0.0;
-  double dimtree_1level_s = 0.0;
 };
 
 }  // namespace
@@ -71,17 +68,16 @@ int main(int argc, char** argv) {
   }
   const bench::Args args = bench::Args::parse(argc, argv, /*scale=*/0.005);
   bench::banner(
-      "Ablation: dimension-tree sweep scheme (Sec 6), full vs 1-level tree",
+      "Ablation: dimension-tree sweep scheme (Sec 6) vs per-mode sweeps",
       args);
   const index_t C = 25;
   Rng rng(17);
   const int sweeps = std::max(2, args.trials);
   std::vector<Case> cases;
 
-  std::printf("%-4s %-8s %-5s %-14s %-14s %-14s %-9s %-10s\n", "N", "dim",
-              "thr", "permode(s/sw)", "dimtree(s/sw)", "dt-1lvl(s/sw)",
-              "speedup", "paper-proj");
-  bench::print_rule(84);
+  std::printf("%-4s %-8s %-5s %-14s %-14s %-9s %-10s\n", "N", "dim", "thr",
+              "permode(s/sw)", "dimtree(s/sw)", "speedup", "paper-proj");
+  bench::print_rule(69);
   for (index_t N = 3; N <= 6; ++N) {
     const index_t d = bench::cube_dim(N, args.scale);
     std::vector<index_t> dims(static_cast<std::size_t>(N), d);
@@ -92,26 +88,22 @@ int main(int argc, char** argv) {
       c.dim = d;
       c.threads = t;
       c.permode_s = mttkrp_seconds_per_sweep(X, C, t, SweepScheme::PerMode,
-                                             0, sweeps);
+                                             sweeps);
       c.dimtree_s = mttkrp_seconds_per_sweep(X, C, t, SweepScheme::DimTree,
-                                             0, sweeps);
-      c.dimtree_1level_s = mttkrp_seconds_per_sweep(
-          X, C, t, SweepScheme::DimTree, 1, sweeps);
+                                             sweeps);
       cases.push_back(c);
       const char* proj = (N == 3) ? "~1.5x" : (N == 4) ? "~2x" : ">2x";
       char speedup[32];
       std::snprintf(speedup, sizeof(speedup), "%.2fx",
                     c.permode_s / c.dimtree_s);
-      std::printf("%-4lld %-8lld %-5d %-14.4f %-14.4f %-14.4f %-9s %-10s\n",
+      std::printf("%-4lld %-8lld %-5d %-14.4f %-14.4f %-9s %-10s\n",
                   static_cast<long long>(N), static_cast<long long>(d), t,
-                  c.permode_s, c.dimtree_s, c.dimtree_1level_s, speedup,
-                  proj);
+                  c.permode_s, c.dimtree_s, speedup, proj);
     }
   }
   std::printf(
       "\nexpected: speedup grows with N (two full-tensor passes per sweep\n"
-      "instead of N); the full tree matches or beats the 1-level tree on\n"
-      "N >= 5 where group recoveries themselves get reused.\n");
+      "instead of N).\n");
 
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -133,14 +125,10 @@ int main(int argc, char** argv) {
                    "    {\"order\": %lld, \"dim\": %lld, \"threads\": %d, "
                    "\"permode_s_per_sweep\": %.6g, "
                    "\"dimtree_s_per_sweep\": %.6g, "
-                   "\"dimtree_1level_s_per_sweep\": %.6g, "
-                   "\"speedup_full_tree\": %.4g, "
-                   "\"speedup_1level\": %.4g}%s\n",
+                   "\"speedup\": %.4g}%s\n",
                    static_cast<long long>(c.order),
                    static_cast<long long>(c.dim), c.threads, c.permode_s,
-                   c.dimtree_s, c.dimtree_1level_s,
-                   c.permode_s / c.dimtree_s,
-                   c.permode_s / c.dimtree_1level_s,
+                   c.dimtree_s, c.permode_s / c.dimtree_s,
                    i + 1 < cases.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

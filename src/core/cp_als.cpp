@@ -78,8 +78,7 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   // without touching the heap.
   std::optional<CpAlsSweepPlanT<T>> sweep;
   if (!opts.mttkrp_override) {
-    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                  opts.dimtree_levels);
+    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method);
   }
   return run_standard(X, opts, ctx, sweep ? &*sweep : nullptr);
 }

@@ -41,14 +41,11 @@ struct CpAlsOptionsT {
 
   /// How the sweep's per-mode MTTKRPs are produced (see exec/sweep_plan.hpp):
   /// PerMode = independent per-mode kernels selected by `method`; DimTree =
-  /// multi-level dimension-tree reuse across modes (`method` is then
-  /// ignored — the tree has its own contraction kernels). Auto currently
-  /// resolves to PerMode for N <= 3 and DimTree for N >= 4.
+  /// the two-group dimension tree, reusing each group's full-tensor pass
+  /// across its modes (`method` is then ignored — the tree has its own
+  /// contraction kernels). Auto currently resolves to PerMode for N <= 3
+  /// and DimTree for N >= 4.
   SweepScheme sweep_scheme = SweepScheme::Auto;
-
-  /// DimTree only: cap on the tree's binary-split depth. 0 = full tree
-  /// (split down to single modes); 1 = the one-level two-group scheme.
-  int dimtree_levels = 0;
 
   /// Execution context (threads + workspace arena). When set, `threads` is
   /// ignored and the driver builds its CpAlsSweepPlan against this context
@@ -75,7 +72,7 @@ struct CpAlsOptionsT {
   /// checkpoint already at the path (if any) and continues as if the run
   /// had never stopped — bitwise-identical to the uninterrupted run. The
   /// checkpoint is bound to the run configuration by an options hash
-  /// (dims, rank, tol, seed, scheme, method, levels, threads, fit flag,
+  /// (dims, rank, tol, seed, scheme, method, threads, fit flag,
   /// scalar kind — deliberately NOT max_iters, so a run may resume with a
   /// raised sweep cap); resuming under a different configuration throws
   /// io::IoError instead of silently diverging from both runs.
@@ -153,10 +150,10 @@ extern template CpAlsResultF cp_als<float>(const TensorF&,
 /// opts.rank, and outlive the call; execution uses plan.context() —
 /// opts.exec and opts.threads are ignored (the plan's arena lives in its
 /// own context), and opts.mttkrp_override is rejected (it would bypass
-/// the plan this overload exists to reuse). opts.sweep_scheme / method /
-/// dimtree_levels are likewise superseded by what the plan was built
-/// with. Identical results to the plan-less overload given matching
-/// construction parameters — byte-identical factors for equal seeds.
+/// the plan this overload exists to reuse). opts.sweep_scheme / method
+/// are likewise superseded by what the plan was built with. Identical
+/// results to the plan-less overload given matching construction
+/// parameters — byte-identical factors for equal seeds.
 template <typename T>
 CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                        CpAlsSweepPlanT<T>& plan);

@@ -107,7 +107,7 @@ inline double cp_fit(double normX2, const KtensorT<T>& model,
 /// FNV-1a over the configuration that determines a sweep loop's
 /// arithmetic — what a checkpoint must be bound to for a resume to be
 /// bitwise-faithful. Included: scalar kind, tensor extents, rank, tol,
-/// seed, fit flag, sweep scheme / method / levels, and the resolved
+/// seed, fit flag, sweep scheme / method, and the resolved
 /// thread count (parallel reductions change rounding with the team
 /// size). Deliberately excluded: max_iters (resuming with a raised sweep
 /// cap is the point of checkpointing) and checkpoint cadence/path (they
@@ -133,7 +133,9 @@ std::uint64_t cp_als_options_hash(const XT& X, const CpAlsOptionsT<T>& opts,
   mix(opts.compute_fit ? 1 : 0);
   mix(static_cast<std::uint64_t>(opts.sweep_scheme));
   mix(static_cast<std::uint64_t>(opts.method));
-  mix(static_cast<std::uint64_t>(opts.dimtree_levels));
+  // Where the removed tree-depth cap was mixed (always 0 at its default),
+  // so checkpoints written before its removal still resume.
+  mix(0);
   mix(static_cast<std::uint64_t>(threads));
   // A custom MTTKRP kernel changes the sweep's arithmetic (e.g. the fp64-
   // accumulate fp32 path); bind checkpoints to its presence so an override

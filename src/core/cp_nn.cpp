@@ -60,8 +60,7 @@ CpAlsResultT<T> cp_nnhals(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
       opts.exec != nullptr ? *opts.exec : own_ctx.emplace(opts.threads);
   std::optional<CpAlsSweepPlanT<T>> sweep;
   if (!opts.mttkrp_override) {
-    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                  opts.dimtree_levels);
+    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method);
   }
 
   CpAlsResultT<T> result;

@@ -30,12 +30,24 @@ template <typename T>
 double TensorT<T>::norm_squared(int threads) const {
   const int nt = resolve_threads(threads);
   const index_t n = numel_;
-  double total = 0.0;
-#pragma omp parallel for num_threads(nt) reduction(+ : total) schedule(static)
-  for (index_t i = 0; i < n; ++i) {
-    total += static_cast<double>(data_[static_cast<std::size_t>(i)]) *
-             static_cast<double>(data_[static_cast<std::size_t>(i)]);
+  // Not an OpenMP reduction: that combines the partial sums in whatever
+  // order the threads arrive, so repeated calls could differ in the last
+  // bits. Each thread sums its static block once; the partials are then
+  // added in thread order, which makes the result a function of the team
+  // size alone.
+  std::vector<double> partial(static_cast<std::size_t>(nt), 0.0);
+#pragma omp parallel num_threads(nt)
+  {
+    double s = 0.0;
+#pragma omp for schedule(static)
+    for (index_t i = 0; i < n; ++i) {
+      s += static_cast<double>(data_[static_cast<std::size_t>(i)]) *
+           static_cast<double>(data_[static_cast<std::size_t>(i)]);
+    }
+    partial[static_cast<std::size_t>(omp_get_thread_num())] = s;
   }
+  double total = 0.0;
+  for (double s : partial) total += s;
   return total;
 }
 

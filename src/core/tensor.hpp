@@ -110,7 +110,8 @@ class TensorT {
   /// either scalar type.
   [[nodiscard]] double norm(int threads = 0) const;
 
-  /// Sum of squares of all entries (double accumulation).
+  /// Sum of squares of all entries (double accumulation). Bitwise
+  /// repeatable for a given thread count.
   [[nodiscard]] double norm_squared(int threads = 0) const;
 
   /// Max absolute entrywise difference; shapes must match.

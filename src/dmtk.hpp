@@ -12,8 +12,8 @@
 ///                           accumulates its own MttkrpTimings
 ///   dmtk::CpAlsSweepPlan    whole-sweep planner behind every CP-ALS
 ///                           driver: SweepScheme::PerMode (N independent
-///                           MttkrpPlans) or SweepScheme::DimTree (multi-
-///                           level dimension tree sharing partial
+///                           MttkrpPlans) or SweepScheme::DimTree (two-
+///                           group dimension tree sharing partial
 ///                           contractions across modes); per-node
 ///                           SweepTimings
 ///   dmtk::SparseMttkrpPlan  the sparse workload's plan: per-mode CSF
@@ -26,7 +26,6 @@
 ///
 /// Decompositions and kernels:
 ///   dmtk::cp_als            CP decomposition via alternating least squares
-///   dmtk::cp_als_dimtree    CP-ALS with dimension-tree MTTKRP reuse
 ///   dmtk::cp_nnhals         nonnegative CP (HALS)
 ///   dmtk::st_hosvd          Tucker via sequentially-truncated HOSVD
 ///   dmtk::mttkrp            one-shot wrapper over a transient MttkrpPlan
@@ -58,7 +57,6 @@
 #include "baseline/ttb_cp_als.hpp"  // IWYU pragma: export
 #include "blas/blas.hpp"            // IWYU pragma: export
 #include "core/cp_als.hpp"          // IWYU pragma: export
-#include "core/cp_als_dt.hpp"       // IWYU pragma: export
 #include "core/cp_nn.hpp"           // IWYU pragma: export
 #include "core/cp_model.hpp"        // IWYU pragma: export
 #include "core/krp.hpp"             // IWYU pragma: export

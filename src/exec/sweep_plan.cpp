@@ -7,7 +7,6 @@
 #include "blas/blas.hpp"
 #include "core/krp_detail.hpp"
 #include "exec/sparse_mttkrp_plan.hpp"
-#include "tune/wisdom.hpp"
 #include "util/timer.hpp"
 
 namespace dmtk {
@@ -55,7 +54,7 @@ template <typename T>
 CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
                                     std::span<const index_t> dims,
                                     index_t rank, SweepScheme scheme,
-                                    MttkrpMethod method, int max_levels)
+                                    MttkrpMethod method)
     : ctx_(&ctx),
       dims_(dims.begin(), dims.end()),
       rank_(rank),
@@ -76,7 +75,6 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
              "construct the plan from a SparseTensor instead");
 
   if (scheme_ == SweepScheme::PerMode) {
-    levels_ = 0;
     mode_plans_.reserve(static_cast<std::size_t>(N));
     timings_.nodes.reserve(static_cast<std::size_t>(N));
     for (index_t n = 0; n < N; ++n) {
@@ -90,27 +88,20 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     return;
   }
 
-  // max_levels == 0 means "let the plan decide": a loaded wisdom profile
-  // may cap the tree depth (tune::wisdom_dimtree_levels(); 0 = full tree).
-  if (max_levels <= 0) max_levels = tune::wisdom_dimtree_levels();
-  const int cap = max_levels <= 0 ? std::numeric_limits<int>::max()
-                                  : max_levels;
-  levels_ = 1;  // the root split below always happens
+  // The two-group tree: one balanced root split. A one-mode group is its
+  // own leaf; a larger group recovers each of its modes directly from the
+  // group intermediate, one (possibly two-sided) contraction per leaf.
   const index_t s = sweep_balanced_split(dims_, 0, N);
-  build_tree(0, s, 0, -1, cap);
-  build_tree(s, N, 0, -1, cap);
-
-  // Top-down ancestor path of every leaf (lazy evaluation walks it).
-  leaf_path_.assign(static_cast<std::size_t>(N), {});
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    const Node& nd = nodes_[id];
-    if (!nd.leaf) continue;
-    std::vector<int>& path = leaf_path_[static_cast<std::size_t>(nd.a)];
-    for (int v = static_cast<int>(id); v >= 0;
-         v = nodes_[static_cast<std::size_t>(v)].parent) {
-      path.push_back(v);
+  leaf_node_.assign(static_cast<std::size_t>(N), -1);
+  for (const auto& [a, b] : {std::pair{index_t{0}, s}, std::pair{s, N}}) {
+    const int group = add_node(a, b, -1);
+    if (b - a == 1) {
+      leaf_node_[static_cast<std::size_t>(a)] = group;
+      continue;
     }
-    std::reverse(path.begin(), path.end());
+    for (index_t n = a; n < b; ++n) {
+      leaf_node_[static_cast<std::size_t>(n)] = add_node(n, n + 1, group);
+    }
   }
 
   plan_node_layout();
@@ -121,7 +112,7 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     SweepNodeTimings& tm = timings_.nodes[id];
     tm.first = nodes_[id].a;
     tm.last = nodes_[id].b;
-    tm.depth = nodes_[id].depth;
+    tm.depth = nodes_[id].parent < 0 ? 0 : 1;
     tm.leaf = nodes_[id].leaf;
   }
 
@@ -152,7 +143,6 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
       scheme_ == SweepScheme::SparseCsf || scheme_ == SweepScheme::SparseCoo,
       "sweep plan: dense scheme requested for a sparse tensor — use "
       "SweepScheme::SparseCsf / SparseCoo (or Auto)");
-  levels_ = 0;
   sparse_plan_ = std::make_unique<SparseMttkrpPlanT<T>>(
       ctx, X, rank,
       scheme_ == SweepScheme::SparseCsf ? SparseMttkrpKernel::Csf
@@ -179,60 +169,39 @@ const SparseMttkrpPlanT<T>& CpAlsSweepPlanT<T>::sparse_plan() const {
 }
 
 template <typename T>
-int CpAlsSweepPlanT<T>::build_tree(index_t a, index_t b, int depth, int parent,
-                                   int max_levels) {
-  const int id = static_cast<int>(nodes_.size());
-  nodes_.push_back({});
-  {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
-    nd.a = a;
-    nd.b = b;
-    nd.depth = depth;
-    nd.parent = parent;
-    nd.out_rows = 1;
-    for (index_t k = a; k < b; ++k) {
-      nd.out_rows *= dims_[static_cast<std::size_t>(k)];
-    }
-    nd.leaf = (b - a == 1);
-    // Sibling-interval trims relative to the parent interval.
-    const index_t pa =
-        parent < 0 ? 0 : nodes_[static_cast<std::size_t>(parent)].a;
-    const index_t pb = parent < 0 ? static_cast<index_t>(dims_.size())
-                                  : nodes_[static_cast<std::size_t>(parent)].b;
-    auto fill_trim = [&](TrimSpec& t, index_t u, index_t v) {
-      t.u = u;
-      t.v = v;
-      t.rows = 1;
-      for (index_t k = v; k-- > u;) {
-        t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
-        t.rows *= dims_[static_cast<std::size_t>(k)];
-      }
-    };
-    fill_trim(nd.left, pa, a);
-    fill_trim(nd.right, b, pb);
-    if (!nd.left.empty() && !nd.right.empty()) {
-      // Contract the larger side first: the surviving mid intermediate is
-      // then as small as possible (the 2-step side heuristic, Alg. 4).
-      nd.left_first = nd.left.rows >= nd.right.rows;
-      nd.t_rows = nd.out_rows *
-                  (nd.left_first ? nd.right.rows : nd.left.rows);
-    }
+int CpAlsSweepPlanT<T>::add_node(index_t a, index_t b, int parent) {
+  // Sibling-interval trims relative to the parent interval.
+  const index_t pa =
+      parent < 0 ? 0 : nodes_[static_cast<std::size_t>(parent)].a;
+  const index_t pb = parent < 0 ? static_cast<index_t>(dims_.size())
+                                : nodes_[static_cast<std::size_t>(parent)].b;
+  Node& nd = nodes_.emplace_back();
+  nd.a = a;
+  nd.b = b;
+  nd.parent = parent;
+  nd.out_rows = 1;
+  for (index_t k = a; k < b; ++k) {
+    nd.out_rows *= dims_[static_cast<std::size_t>(k)];
   }
-  if (b - a >= 2) {
-    if (depth + 2 <= max_levels) {
-      levels_ = std::max(levels_, depth + 2);
-      const index_t s = sweep_balanced_split(dims_, a, b);
-      build_tree(a, s, depth + 1, id, max_levels);
-      build_tree(s, b, depth + 1, id, max_levels);
-    } else {
-      // Depth cap reached: this group recovers its modes directly, one
-      // (possibly two-sided) contraction per leaf.
-      for (index_t n = a; n < b; ++n) {
-        build_tree(n, n + 1, depth + 1, id, max_levels);
-      }
+  nd.leaf = (b - a == 1);
+  auto fill_trim = [&](TrimSpec& t, index_t u, index_t v) {
+    t.u = u;
+    t.v = v;
+    t.rows = 1;
+    for (index_t k = v; k-- > u;) {
+      t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
+      t.rows *= dims_[static_cast<std::size_t>(k)];
     }
+  };
+  fill_trim(nd.left, pa, a);
+  fill_trim(nd.right, b, pb);
+  if (!nd.left.empty() && !nd.right.empty()) {
+    // Contract the larger side first: the surviving mid intermediate is
+    // then as small as possible (the 2-step side heuristic, Alg. 4).
+    nd.left_first = nd.left.rows >= nd.right.rows;
+    nd.t_rows = nd.out_rows * (nd.left_first ? nd.right.rows : nd.left.rows);
   }
-  return id;
+  return static_cast<int>(nodes_.size()) - 1;
 }
 
 template <typename T>
@@ -240,38 +209,22 @@ void CpAlsSweepPlanT<T>::plan_node_layout() {
   const index_t C = rank_;
   const std::size_t snt = static_cast<std::size_t>(nt_);
 
-  // Intermediates region: one slot per depth, sized for the largest
-  // internal node there. The in-order traversal keeps at most one node per
-  // depth alive, so same-depth nodes share a slot.
-  int max_depth = 0;
-  for (const Node& nd : nodes_) max_depth = std::max(max_depth, nd.depth);
-  // dmtk-lint: allow(hot-alloc): plan CONSTRUCTION, runs once per plan —
-  // the allocation-free guarantee covers execute(), not this layout pass.
-  std::vector<std::size_t> slot(static_cast<std::size_t>(max_depth) + 1, 0);
+  // Intermediate slot at the front of the frame, sized for the larger
+  // group. The in-order sweep is done with the left group's leaves before
+  // the right group is computed, so the two groups share it. Leaves write
+  // the caller's M.
+  scratch_base_ = 0;
   for (const Node& nd : nodes_) {
-    if (nd.leaf) continue;  // leaves write the caller's M
-    slot[static_cast<std::size_t>(nd.depth)] =
-        std::max(slot[static_cast<std::size_t>(nd.depth)],
-                 WorkspaceArena::aligned_count<T>(
-                     static_cast<std::size_t>(nd.out_rows * C)));
-  }
-  // dmtk-lint: allow(hot-alloc): plan construction (see above).
-  std::vector<std::size_t> level_base(slot.size(), 0);
-  std::size_t top = 0;
-  for (std::size_t d = 0; d < slot.size(); ++d) {
-    level_base[d] = top;
-    top += slot[d];
-  }
-  inter_elems_ = top;
-  for (Node& nd : nodes_) {
-    if (!nd.leaf) nd.off_out = level_base[static_cast<std::size_t>(nd.depth)];
+    if (nd.leaf) continue;
+    scratch_base_ = std::max(scratch_base_,
+                             WorkspaceArena::aligned_count<T>(
+                                 static_cast<std::size_t>(nd.out_rows * C)));
   }
 
   // Per-evaluation scratch region, reused serially across nodes: packed
   // factor panels + transposed-KRP buffer per trim, the two-trim mid
   // intermediate, per-thread partial-Hadamard scratch, and the GEMM
   // packing workspace.
-  scratch_base_ = inter_elems_;
   std::size_t scratch_max = 0;
   for (Node& nd : nodes_) {
     std::size_t off = 0;
@@ -326,7 +279,7 @@ void CpAlsSweepPlanT<T>::plan_node_layout() {
     nd.scratch_elems = off;
     scratch_max = std::max(scratch_max, off);
   }
-  ws_elems_ = inter_elems_ + scratch_max;
+  ws_elems_ = scratch_base_ + scratch_max;
 }
 
 template <typename T>
@@ -343,7 +296,6 @@ void CpAlsSweepPlanT<T>::begin_sweep(const TensorT<T>& X) {
   sweep_active_ = true;
   sweep_seconds_ = 0.0;
   if (scheme_ == SweepScheme::DimTree) {
-    for (Node& nd : nodes_) nd.fresh = false;
     frame_.reset();  // tolerate an abandoned previous sweep
     frame_.emplace(ctx_->arena());
     base_ = ws_elems_ > 0 ? frame_->template alloc<T>(ws_elems_) : nullptr;
@@ -416,10 +368,14 @@ void CpAlsSweepPlanT<T>::mode_mttkrp(index_t n, const TensorT<T>& X,
     tm.contract_seconds += t.seconds();
     ++tm.evals;
   } else {
-    for (int id : leaf_path_[static_cast<std::size_t>(n)]) {
-      Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (!nd.fresh) eval_node(id, X, factors, nd.leaf ? &M : nullptr);
+    // A group is computed when its first mode is served; its leaves then
+    // read the intermediate until the sweep moves on to the next group.
+    const int leaf = leaf_node_[static_cast<std::size_t>(n)];
+    const int group = nodes_[static_cast<std::size_t>(leaf)].parent;
+    if (group >= 0 && nodes_[static_cast<std::size_t>(group)].a == n) {
+      eval_node(group, X, factors, nullptr);
     }
+    eval_node(leaf, X, factors, &M);
   }
   finish_mode(t.seconds());
 }
@@ -505,12 +461,12 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
                                    MatrixT<T>* M) {
   Node& nd = nodes_[static_cast<std::size_t>(id)];
   SweepNodeTimings& tm = timings_.nodes[static_cast<std::size_t>(id)];
-  T* out = nd.leaf ? M->data() : base_ + nd.off_out;
+  T* out = nd.leaf ? M->data() : base_;
 
   if (nd.parent < 0) {
-    // Child of the root: the sweep's only full-tensor passes, as one plain
-    // GEMM of X (viewed as its multi-mode matricization) against the
-    // sibling group's transposed KRP.
+    // A group: the sweep's only full-tensor passes, as one plain GEMM of X
+    // (viewed as its multi-mode matricization) against the other group's
+    // transposed KRP.
     const bool right = !nd.right.empty();
     const TrimSpec& trim = right ? nd.right : nd.left;
     WallTimer tk;
@@ -535,7 +491,7 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
     tm.contract_seconds += tg.seconds();
   } else {
     const Node& par = nodes_[static_cast<std::size_t>(nd.parent)];
-    const T* src = base_ + par.off_out;
+    const T* src = base_;
     if (!nd.left.empty() && !nd.right.empty()) {
       const TrimSpec& first = nd.left_first ? nd.left : nd.right;
       const TrimSpec& second = nd.left_first ? nd.right : nd.left;
@@ -565,7 +521,6 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
       tm.contract_seconds += tg.seconds();
     }
   }
-  nd.fresh = true;
   ++tm.evals;
 }
 

@@ -16,30 +16,31 @@
 ///  - PerMode: N independent MttkrpPlans (the paper's per-mode kernels,
 ///    Algorithms 2-4). Every mode pays one pass over the full tensor.
 ///
-///  - DimTree: a multi-level binary dimension tree over the modes (the
-///    paper's Section 6 direction, after Phan, Tichavsky & Cichocki). The
-///    root is the tensor itself; its two children are the only FULL-tensor
-///    contractions of the sweep (two big GEMMs against partial KRPs);
-///    every deeper node contracts its parent's arena-resident intermediate
-///    against the KRP of the sibling interval's factors, and each leaf
-///    yields one mode's MTTKRP. Node contractions run as per-component
+///  - DimTree: the paper's two-group dimension tree (Section 6, after
+///    Phan, Tichavsky & Cichocki). The root is the tensor itself, split
+///    once by sweep_balanced_split into two mode groups; each group node is
+///    one of the sweep's only two FULL-tensor contractions (a big GEMM
+///    against the other group's partial KRP), and every mode of a group is
+///    recovered from that arena-resident intermediate by contracting the
+///    rest of the group's modes — one-sided at the group's ends, two-sided
+///    (larger side first) inside it. The recoveries run as per-component
 ///    gemm_batched sweeps (batch = rank, rows split across the team inside
 ///    each component when rank < threads), with GemmWorkspaces carved from
 ///    the same arena — no scalar TTV chains, no per-call heap traffic.
 ///
-/// Laziness gives exactness: a node's intermediate is (re)computed the
-/// first time a leaf below it is requested in the sweep. With the in-order
-/// mode discipline (enforced), the factors it contracts are exactly the
-/// versions exact ALS requires — already-updated for modes left of the
-/// node's interval, not-yet-updated for modes right of it.
+/// Laziness gives exactness: a group's intermediate is computed when its
+/// first mode is requested in the sweep. With the in-order mode discipline
+/// (enforced), the factors every contraction reads are exactly the versions
+/// exact ALS requires — already-updated for modes left of the mode being
+/// served, not-yet-updated for modes right of it.
 ///
-/// Cost: the root split is chosen to balance the two group sizes, so the
-/// tree touches all I tensor entries twice per sweep instead of ~N times,
-/// at an extra memory cost of about max(I_L, I_R) x C elements for the
-/// deepest simultaneously-live intermediates (one per tree level; nodes at
-/// the same level reuse one slot because the in-order traversal keeps at
-/// most one alive). The expected per-sweep MTTKRP saving is ~N/2x for
-/// N >= 4 (paper Section 6 projects ~1.5x at N = 3, ~2x at N = 4).
+/// Cost: the root split balances the two group sizes, so the tree touches
+/// all I tensor entries twice per sweep instead of N times, at an extra
+/// memory cost of about max(I_L, I_R) x C elements for the group
+/// intermediate (both groups share one slot: the in-order traversal is
+/// done with the left group before the right one is computed). The
+/// expected per-sweep MTTKRP saving is ~N/2x (paper Section 6 projects
+/// ~1.5x at N = 3, ~2x at N = 4).
 ///
 /// Sweep protocol (drivers in core/ follow it through
 /// detail::run_als_sweeps):
@@ -138,17 +139,18 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 
 /// Balanced binary split of the mode interval [a, b): the s in (a, b) that
 /// minimizes max(prod dims[a, s), prod dims[s, b)) — the paper's rule for
-/// bounding the dimension-tree intermediates, applied recursively here.
+/// bounding the dimension-tree intermediates; DimTree applies it once, to
+/// the root interval [0, N).
 [[nodiscard]] index_t sweep_balanced_split(std::span<const index_t> dims,
                                            index_t a, index_t b);
 
 /// Per-node wall-clock record of a sweep plan. PerMode plans expose one
-/// leaf node per mode; DimTree plans one entry per tree node (internal
+/// leaf node per mode; DimTree plans one entry per tree node (the group
 /// nodes are the shared partial contractions).
 struct SweepNodeTimings {
   index_t first = 0;     ///< mode interval [first, last)
   index_t last = 0;
-  int depth = 0;         ///< 0 = child of the root (the full-tensor passes)
+  int depth = 0;         ///< 0 = a group (a full-tensor pass), 1 = its leaf
   bool leaf = false;     ///< true when the node yields a mode's MTTKRP
   std::int64_t evals = 0;        ///< contractions performed so far
   double krp_seconds = 0.0;      ///< transposed-KRP formation for the node
@@ -173,13 +175,10 @@ class CpAlsSweepPlanT {
 
   /// Plan sweeps for a tensor with extents `dims` at rank `rank`. `method`
   /// selects the per-mode MTTKRP kernel (PerMode scheme only; the tree has
-  /// its own contraction kernels). `max_levels` caps the tree's binary
-  /// split depth: 0 = full tree (split to single modes), 1 = the one-level
-  /// two-group scheme. The context must outlive the plan.
+  /// its own contraction kernels). The context must outlive the plan.
   CpAlsSweepPlanT(const ExecContext& ctx, std::span<const index_t> dims,
                   index_t rank, SweepScheme scheme = SweepScheme::Auto,
-                  MttkrpMethod method = MttkrpMethod::Auto,
-                  int max_levels = 0);
+                  MttkrpMethod method = MttkrpMethod::Auto);
 
   /// Plan sparse sweeps: Auto resolves to SparseCsf; only SparseCsf /
   /// SparseCoo are accepted (a dense scheme on sparse input throws, like a
@@ -193,8 +192,8 @@ class CpAlsSweepPlanT {
 
   ~CpAlsSweepPlanT();
 
-  /// Start a sweep: marks every tree intermediate stale and opens the
-  /// arena frame. X must have the planned extents.
+  /// Start a sweep: opens the arena frame the tree's intermediates live
+  /// in. X must have the planned extents.
   void begin_sweep(const TensorT<T>& X);
 
   /// Start a sweep over the bound sparse tensor; X must match the planned
@@ -223,8 +222,6 @@ class CpAlsSweepPlanT {
   [[nodiscard]] SweepScheme requested_scheme() const { return requested_; }
   /// What the plan actually runs (never Auto).
   [[nodiscard]] SweepScheme scheme() const { return scheme_; }
-  /// Deepest internal (splitting) level of the tree; 0 for PerMode.
-  [[nodiscard]] int levels() const { return levels_; }
   /// Arena bytes a DimTree sweep holds at its peak (0 for PerMode, whose
   /// per-mode plans size their own frames; the sparse schemes report their
   /// SparseMttkrpPlan's per-execute footprint).
@@ -262,21 +259,20 @@ class CpAlsSweepPlanT {
     [[nodiscard]] bool empty() const { return u >= v; }
   };
 
-  /// A non-root tree node: mode interval, parent link, the one or two
+  /// A non-root tree node — a group (parent = the root tensor X) or a leaf
+  /// of a group: mode interval, parent link, the one or two
   /// sibling-interval trims that derive it from its parent, and the arena
-  /// offsets of its output intermediate and evaluation scratch.
+  /// offsets of its evaluation scratch. Group intermediates all live at the
+  /// front of the frame (one shared slot).
   struct Node {
     index_t a = 0, b = 0;  ///< mode interval [a, b)
-    int depth = 0;         ///< 0 = child of the root
     int parent = -1;       ///< node id; -1 = the root tensor X
     index_t out_rows = 1;  ///< prod dims[a, b)
     bool leaf = false;
-    bool fresh = false;    ///< intermediate computed this sweep
     TrimSpec left;         ///< contracts [parent.a, a)
     TrimSpec right;        ///< contracts [b, parent.b)
     bool left_first = false;  ///< two-trim order: contract larger side first
     index_t t_rows = 0;       ///< rows of the two-trim mid intermediate
-    std::size_t off_out = 0;  ///< intermediate offset (internal nodes)
     std::size_t off_t = 0;    ///< two-trim mid intermediate offset (scratch)
     std::size_t off_p = 0;    ///< per-thread partial-Hadamard scratch
     std::size_t stride_p = 0;
@@ -285,7 +281,7 @@ class CpAlsSweepPlanT {
     std::size_t scratch_elems = 0;
   };
 
-  int build_tree(index_t a, index_t b, int depth, int parent, int max_levels);
+  int add_node(index_t a, index_t b, int parent);
   void plan_node_layout();
   void eval_node(int id, const TensorT<T>& X,
                  std::span<const MatrixT<T>> factors, MatrixT<T>* M);
@@ -307,7 +303,6 @@ class CpAlsSweepPlanT {
   int nt_ = 1;
   SweepScheme requested_ = SweepScheme::Auto;
   SweepScheme scheme_ = SweepScheme::PerMode;
-  int levels_ = 0;
 
   /// Shared mode_mttkrp protocol: in-order discipline + factor checks;
   /// resizes M. Returns once the request is valid.
@@ -325,9 +320,9 @@ class CpAlsSweepPlanT {
 
   // DimTree state.
   std::vector<Node> nodes_;
-  std::vector<std::vector<int>> leaf_path_;  ///< per mode: node ids, top down
-  std::size_t inter_elems_ = 0;     ///< intermediates region (front)
-  std::size_t scratch_base_ = 0;    ///< per-eval scratch region (back)
+  std::vector<int> leaf_node_;      ///< per mode: the node that yields it
+  std::size_t scratch_base_ = 0;    ///< per-eval scratch region (after the
+                                    ///< group intermediate slot)
   std::size_t ws_elems_ = 0;
   std::optional<WorkspaceArena::Frame> frame_;
   T* base_ = nullptr;

@@ -13,7 +13,6 @@ std::string PlanKey::to_string() const {
   s += "|rank=" + std::to_string(rank);
   s += "|scheme=" + std::string(dmtk::to_string(scheme));
   s += "|method=" + std::string(dmtk::to_string(method));
-  s += "|levels=" + std::to_string(levels);
   s += f32 ? "|prec=f32" : "|prec=f64";
   return s;
 }
@@ -82,13 +81,11 @@ PlanCache::Entry* PlanCache::get_or_build(const PlanKey& key,
   try {
     if (key.f32) {
       e.f32 = std::make_unique<CpAlsSweepPlanF>(ctx, key.dims, key.rank,
-                                                key.scheme, key.method,
-                                                key.levels);
+                                                key.scheme, key.method);
       ws_bytes = e.f32->workspace_bytes();
     } else {
       e.f64 = std::make_unique<CpAlsSweepPlan>(ctx, key.dims, key.rank,
-                                               key.scheme, key.method,
-                                               key.levels);
+                                               key.scheme, key.method);
       ws_bytes = e.f64->workspace_bytes();
     }
   } catch (const std::exception&) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file plan_cache.hpp
 /// \brief The server's warm plan cache: CpAlsSweepPlans keyed on
-/// (shape, rank, sweep scheme, method, levels, precision), LRU-evicted
+/// (shape, rank, sweep scheme, method, precision), LRU-evicted
 /// under an entry cap and a byte budget.
 ///
 /// This is the paper's amortization argument lifted to the request level:
@@ -57,7 +57,6 @@ struct PlanKey {
   index_t rank = 0;
   SweepScheme scheme = SweepScheme::PerMode;
   MttkrpMethod method = MttkrpMethod::Auto;  ///< PerMode kernel selection
-  int levels = 0;                            ///< DimTree depth cap
   bool f32 = false;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;

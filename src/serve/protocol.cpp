@@ -137,8 +137,8 @@ Request parse_request(const Json& j) {
 
   // decompose
   check_fields(j, {"type", "id", "tensor", "precision", "rank", "iters",
-                   "tol", "seed", "sweep", "method", "levels", "out",
-                   "inline_model", "cold"});
+                   "tol", "seed", "sweep", "method", "out", "inline_model",
+                   "cold"});
   if (const Json* v = j.find("iters")) {
     r.iters = static_cast<int>(get_int(*v, "iters", 1, 1'000'000));
   }
@@ -157,9 +157,6 @@ Request parse_request(const Json& j) {
     const auto m = parse_mttkrp_method(name);
     if (!m) bad("unknown mttkrp method \"" + name + '"');
     r.method = *m;
-  }
-  if (const Json* v = j.find("levels")) {
-    r.levels = static_cast<int>(get_int(*v, "levels", 0, 64));
   }
   if (const Json* v = j.find("cold")) r.cold = get_bool(*v, "cold");
   // Default: inline the model exactly when it is not going to a file.

@@ -75,7 +75,6 @@ struct Request {
   std::uint64_t seed = 42;
   SweepScheme sweep = SweepScheme::Auto;
   MttkrpMethod method = MttkrpMethod::Auto;
-  int levels = 0;            ///< DimTree depth cap
   std::string out;           ///< model/matrix output path ("" = none)
   bool inline_model = true;  ///< include the model payload in the response
   /// Emulate the batch CLI's one-shot cost: run on a fresh ExecContext

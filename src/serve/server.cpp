@@ -377,9 +377,6 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
       invalid("\"method\" selects dense per-mode kernels; sparse input "
               "chooses its own");
     }
-    if (r.levels != 0) {
-      invalid("\"levels\" applies to the dense dimtree scheme");
-    }
     if (!std::filesystem::exists(r.tensor)) {
       throw ProtocolError("io_error", "no such tensor file: " + r.tensor);
     }
@@ -405,7 +402,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
     // mttkrp batching keys on shape/rank/precision/mode only; the sweep
     // fields stay at their defaults in the key.
     job.key = PlanKey{dims, r.rank, SweepScheme::PerMode, MttkrpMethod::Auto,
-                      0, r.f32};
+                      r.f32};
   } else {
     const SweepScheme resolved =
         resolve_sweep_scheme(r.sweep, order, r.method);
@@ -413,10 +410,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
       invalid("\"method\" selects per-mode kernels; the dimtree scheme has "
               "its own");
     }
-    if (r.levels != 0 && resolved != SweepScheme::DimTree) {
-      invalid("\"levels\" requires the dimtree scheme");
-    }
-    job.key = PlanKey{dims, r.rank, resolved, r.method, r.levels, r.f32};
+    job.key = PlanKey{dims, r.rank, resolved, r.method, r.f32};
   }
   job.dims = std::move(dims);
   job.dense = true;
@@ -538,13 +532,12 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
         // context with a transient plan.
         if (job.key.f32) {
           CpAlsSweepPlanF plan(ws.ctx, job.key.dims, job.key.rank,
-                               job.key.scheme, job.key.method,
-                               job.key.levels);
+                               job.key.scheme, job.key.method);
           decompose_one<float>(item, &plan, "bypass", plan_ms,
                                jobs.size(), index);
         } else {
           CpAlsSweepPlan plan(ws.ctx, job.key.dims, job.key.rank,
-                              job.key.scheme, job.key.method, job.key.levels);
+                              job.key.scheme, job.key.method);
           decompose_one<double>(item, &plan, "bypass", plan_ms,
                                 jobs.size(), index);
         }
@@ -584,7 +577,6 @@ void Server::decompose_one(const Queue::Item& item,
   o.compute_fit = true;
   o.sweep_scheme = job.key.scheme;
   o.method = job.key.method;
-  o.dimtree_levels = job.key.levels;
 
   WallTimer exec_t;
   CpAlsResultT<T> res;

@@ -7,7 +7,7 @@
 /// touch), sweep-plan construction, then the actual sweeps. A resident
 /// server keeps the expensive parts warm — per-worker ExecContexts stay
 /// alive, and a per-worker PlanCache holds constructed CpAlsSweepPlans
-/// keyed on (shape, rank, scheme, method, levels, precision) — so a
+/// keyed on (shape, rank, scheme, method, precision) — so a
 /// repeat request of a shape already seen skips straight to the sweeps.
 /// That is the paper's plan-amortization argument lifted from "many
 /// sweeps per plan" to "many requests per plan".

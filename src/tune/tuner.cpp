@@ -190,7 +190,7 @@ TuneReport run_tune(const TuneOptions& opts) {
                     ") " + std::to_string(best_gf) + " GF/s (default " +
                     std::to_string(p.default_gflops_f64) + ")");
 
-  // --- stage 3: dimension-tree scheme + depth -----------------------------
+  // --- stage 3: dimension-tree scheme ------------------------------------
   say(opts.log, "stage 3/5: dimtree vs per-mode sweeps");
   const index_t rank = quick ? 8 : 16;
   const std::vector<index_t> d3 =
@@ -199,29 +199,23 @@ TuneReport run_tune(const TuneOptions& opts) {
                                       ? std::vector<index_t>{6, 6, 6, 6}
                                       : std::vector<index_t>{20, 20, 20, 20};
   auto sweep_scheme_seconds = [&](const std::vector<index_t>& dims,
-                                  SweepScheme scheme, int max_levels) {
+                                  SweepScheme scheme) {
     Tensor x = Tensor::random_uniform(dims, rng);
     auto factors = random_factors(dims, rank, rng);
     Matrix m;
-    CpAlsSweepPlan plan(ctx, dims, rank, scheme, MttkrpMethod::Auto,
-                        max_levels);
+    CpAlsSweepPlan plan(ctx, dims, rank, scheme);
     return time_sweep(plan, x, factors, m, trials);
   };
-  rep.permode_seconds_n3 = sweep_scheme_seconds(d3, SweepScheme::PerMode, 0);
-  rep.dimtree_seconds_n3 = sweep_scheme_seconds(d3, SweepScheme::DimTree, 0);
-  rep.permode_seconds_n4 = sweep_scheme_seconds(d4, SweepScheme::PerMode, 0);
-  rep.dimtree_seconds_n4 = sweep_scheme_seconds(d4, SweepScheme::DimTree, 0);
+  rep.permode_seconds_n3 = sweep_scheme_seconds(d3, SweepScheme::PerMode);
+  rep.dimtree_seconds_n3 = sweep_scheme_seconds(d3, SweepScheme::DimTree);
+  rep.permode_seconds_n4 = sweep_scheme_seconds(d4, SweepScheme::PerMode);
+  rep.dimtree_seconds_n4 = sweep_scheme_seconds(d4, SweepScheme::DimTree);
   const bool tree3 = rep.dimtree_seconds_n3 < rep.permode_seconds_n3;
   const bool tree4 = rep.dimtree_seconds_n4 < rep.permode_seconds_n4;
   p.dimtree_min_order = tree3 ? 3 : (tree4 ? 4 : 5);
-  rep.tree_full_seconds_n4 = rep.dimtree_seconds_n4;
-  rep.tree_onelevel_seconds_n4 =
-      sweep_scheme_seconds(d4, SweepScheme::DimTree, 1);
-  p.dimtree_levels =
-      rep.tree_onelevel_seconds_n4 < rep.tree_full_seconds_n4 ? 1 : 0;
   say(opts.log,
       "  min_order=" + std::to_string(p.dimtree_min_order) +
-          " levels=" + std::to_string(p.dimtree_levels) + " (N=3 tree/permode " +
+          " (N=3 tree/permode " +
           std::to_string(rep.dimtree_seconds_n3) + "/" +
           std::to_string(rep.permode_seconds_n3) + "s, N=4 " +
           std::to_string(rep.dimtree_seconds_n4) + "/" +
@@ -266,7 +260,7 @@ TuneReport run_tune(const TuneOptions& opts) {
     index_t total = 1;
     for (index_t d : dims) total *= d;
     // Dense sweep time is density-independent: measure it once.
-    const double dense_s = sweep_scheme_seconds(dims, SweepScheme::PerMode, 0);
+    const double dense_s = sweep_scheme_seconds(dims, SweepScheme::PerMode);
     const std::vector<double> densities =
         quick ? std::vector<double>{0.05, 0.20}
               : std::vector<double>{0.02, 0.05, 0.10, 0.20};
@@ -315,8 +309,6 @@ std::string report_to_json(const TuneReport& r) {
   dt.set("dimtree_seconds_n3", Json(r.dimtree_seconds_n3));
   dt.set("permode_seconds_n4", Json(r.permode_seconds_n4));
   dt.set("dimtree_seconds_n4", Json(r.dimtree_seconds_n4));
-  dt.set("tree_full_seconds_n4", Json(r.tree_full_seconds_n4));
-  dt.set("tree_onelevel_seconds_n4", Json(r.tree_onelevel_seconds_n4));
   root.set("dimtree", std::move(dt));
   Json ts;
   ts.set("left_seconds", Json(r.twostep_left_seconds));

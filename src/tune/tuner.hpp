@@ -12,7 +12,7 @@
 ///      at the winning f64 level.
 ///   3. Dimension-tree sweep scheme: PerMode vs DimTree full-sweep time at
 ///      N = 3 and N = 4 (the measured replacement for the "Auto N >= 4"
-///      rule), plus full-depth vs one-level tree at N = 4.
+///      rule).
 ///   4. Two-step MTTKRP side on a balanced internal mode (where the shape
 ///      heuristic has no signal): Left vs Right, preferring the heuristic
 ///      unless one side wins by a clear margin.
@@ -51,7 +51,6 @@ struct TuneReport {
   WisdomProfile profile;
   double permode_seconds_n3 = 0.0, dimtree_seconds_n3 = 0.0;
   double permode_seconds_n4 = 0.0, dimtree_seconds_n4 = 0.0;
-  double tree_full_seconds_n4 = 0.0, tree_onelevel_seconds_n4 = 0.0;
   double twostep_left_seconds = 0.0, twostep_right_seconds = 0.0;
   std::vector<CrossoverPoint> crossover;
 };

@@ -159,7 +159,6 @@ std::string profile_to_json(const WisdomProfile& p) {
   blk["kc"] = serve::Json(p.blocking.kc);
   blk["nc"] = serve::Json(p.blocking.nc);
   o["blocking"] = serve::Json(std::move(blk));
-  o["dimtree_levels"] = serve::Json(p.dimtree_levels);
   o["dimtree_min_order"] = serve::Json(p.dimtree_min_order);
   o["twostep"] = serve::Json(std::string(to_string(p.twostep)));
   o["sparse_crossover"] = serve::Json(p.sparse_crossover);
@@ -203,10 +202,11 @@ WisdomProfile profile_from_json(std::string_view text) {
   if (p.blocking.mc < 1 || p.blocking.kc < 1 || p.blocking.nc < 1) {
     throw std::runtime_error("wisdom: non-positive blocking");
   }
-  p.dimtree_levels = static_cast<int>(int_field(j, "dimtree_levels"));
+  // Profiles written while the dimension tree had a depth cap carry one
+  // more dimtree key; like any other unread key it is ignored.
   p.dimtree_min_order = int_field(j, "dimtree_min_order");
-  if (p.dimtree_levels < 0 || p.dimtree_min_order < 2) {
-    throw std::runtime_error("wisdom: bad dimtree fields");
+  if (p.dimtree_min_order < 2) {
+    throw std::runtime_error("wisdom: dimtree_min_order below 2");
   }
   const auto pref =
       parse_twostep_pref(member_or_throw(j, "twostep").as_string());
@@ -331,13 +331,6 @@ index_t auto_dimtree_min_order() {
   LockGuard lock(r.mu);
   env_autoload_locked(r);
   return r.profile ? r.profile->dimtree_min_order : kDefaultDimtreeMinOrder;
-}
-
-int wisdom_dimtree_levels() {
-  Registry& r = registry();
-  LockGuard lock(r.mu);
-  env_autoload_locked(r);
-  return r.profile ? r.profile->dimtree_levels : kDefaultDimtreeLevels;
 }
 
 TwoStepPref wisdom_twostep() {

@@ -61,7 +61,6 @@ struct LevelGflops {
 /// Built-in defaults for the tunables (what the consults return with no
 /// profile loaded — and what pre-tune dmtk hard-coded).
 inline constexpr index_t kDefaultDimtreeMinOrder = 4;
-inline constexpr int kDefaultDimtreeLevels = 0;  // 0 = full tree
 inline constexpr double kDefaultSparseCrossover = 0.10;
 
 struct WisdomProfile {
@@ -73,7 +72,6 @@ struct WisdomProfile {
   blas::SimdLevel best_simd_f64 = blas::SimdLevel::Scalar;
   blas::SimdLevel best_simd_f32 = blas::SimdLevel::Scalar;
   blas::GemmBlocking blocking{};
-  int dimtree_levels = kDefaultDimtreeLevels;
   index_t dimtree_min_order = kDefaultDimtreeMinOrder;
   TwoStepPref twostep = TwoStepPref::Heuristic;
   double sparse_crossover = kDefaultSparseCrossover;
@@ -149,9 +147,6 @@ void clear_wisdom();
 
 /// Dense Auto picks DimTree at order >= this (default 4).
 [[nodiscard]] index_t auto_dimtree_min_order();
-/// Tree depth cap a dense plan uses when its caller passes max_levels = 0
-/// ("let the plan decide"): 0 = full tree.
-[[nodiscard]] int wisdom_dimtree_levels();
 /// Two-step side preference for plans whose caller left side at Auto.
 [[nodiscard]] TwoStepPref wisdom_twostep();
 /// Density above which dense decomposition is expected to win (advisory).

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/cp_als.hpp"
+#include "core/cp_als_detail.hpp"
 #include "core/tensor.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
@@ -133,6 +134,23 @@ TEST_F(CheckpointTest, OptionsHashMismatchRefusesToResume) {
   } catch (const io::IoError& e) {
     EXPECT_NE(std::string(e.what()).find("options hash"), std::string::npos);
   }
+}
+
+TEST_F(CheckpointTest, OptionsHashIsStableAcrossReleases) {
+  // Checkpoints on disk are bound to these values: a change to the hash
+  // (a field added, dropped or reordered) would make every existing
+  // checkpoint refuse to resume. Pinned for two fixed configurations.
+  CpAlsOptions o;
+  o.rank = 3;
+  EXPECT_EQ(detail::cp_als_options_hash(Tensor({4, 5, 6}), o, 2),
+            3636283492433254478ull);
+  CpAlsOptionsF of;
+  of.rank = 2;
+  of.tol = 0.0;
+  of.seed = 7;
+  of.sweep_scheme = SweepScheme::DimTree;
+  EXPECT_EQ(detail::cp_als_options_hash(TensorF({3, 4, 2, 5}), of, 4),
+            4691776088949677921ull);
 }
 
 TEST_F(CheckpointTest, CheckpointCadenceFollowsCheckpointEvery) {

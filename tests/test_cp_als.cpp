@@ -250,6 +250,55 @@ TEST(CpAls, FourWayTensorWorks) {
   EXPECT_GT(r.final_fit, 0.999);
 }
 
+TEST(CpAls, FourThreadRunsAreBitwiseRepeatable) {
+  // Same input, same thread count: the same bits, every time. A tensor
+  // norm that adds the threads' partial sums in arrival order (as an
+  // OpenMP reduction does) changes its last bits — and with them every
+  // reported fit — from run to run. The entries grow along the
+  // linearization, so each thread's block sums to a different magnitude
+  // and the order of the additions shows in the result.
+  Rng rng(61);
+  Tensor X = Tensor::random_uniform({60, 50, 40, 30}, rng);
+  const auto numel = static_cast<double>(X.numel());
+  for (index_t i = 0; i < X.numel(); ++i) {
+    X.data()[i] *= 1.0 + 99.0 * static_cast<double>(i) / numel;
+  }
+  // The contract: each of the 4 threads sums one equal static block, and
+  // the partials are added in thread order.
+  double expected = 0.0;
+  const index_t block = X.numel() / 4;
+  ASSERT_EQ(block * 4, X.numel());
+  for (index_t t = 0; t < 4; ++t) {
+    double partial = 0.0;
+    for (index_t i = t * block; i < (t + 1) * block; ++i) {
+      partial += X.data()[i] * X.data()[i];
+    }
+    expected += partial;
+  }
+  int mismatches = 0;
+  for (int rep = 0; rep < 50; ++rep) {
+    if (X.norm_squared(4) != expected) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << "of 50 norm_squared(4) calls";
+  CpAlsOptions opts;
+  opts.rank = 4;
+  opts.max_iters = 3;
+  opts.tol = 0.0;
+  opts.threads = 4;
+  opts.sweep_scheme = SweepScheme::PerMode;
+  const CpAlsResult a = cp_als(X, opts);
+  const CpAlsResult b = cp_als(X, opts);
+  EXPECT_EQ(a.final_fit, b.final_fit);
+  ASSERT_EQ(a.iters.size(), b.iters.size());
+  for (std::size_t i = 0; i < a.iters.size(); ++i) {
+    EXPECT_EQ(a.iters[i].fit, b.iters[i].fit) << "sweep " << i;
+  }
+  for (std::size_t n = 0; n < a.model.factors.size(); ++n) {
+    EXPECT_EQ(a.model.factors[n].max_abs_diff(b.model.factors[n]), 0.0)
+        << "factor " << n;
+  }
+}
+
 TEST(HadamardOfGrams, SkipsRequestedMode) {
   Matrix G0(2, 2), G1(2, 2), G2(2, 2);
   G0.fill(2.0);

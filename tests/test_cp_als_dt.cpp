@@ -1,7 +1,8 @@
-// Dimension-tree CP-ALS (the paper's Section 6 extension): must produce
-// the SAME iterates as the standard driver — it is an algebraic
-// rearrangement, not an approximation — while touching the full tensor only
-// twice per sweep.
+// Dimension-tree CP-ALS (the paper's Section 6 extension, run through
+// `CpAlsOptions::sweep_scheme = SweepScheme::DimTree`): must produce the
+// SAME iterates as the per-mode sweep — it is an algebraic rearrangement,
+// not an approximation — while touching the full tensor only twice per
+// sweep.
 
 #include <gtest/gtest.h>
 
@@ -9,22 +10,22 @@
 #include <vector>
 
 #include "core/cp_als.hpp"
-#include "core/cp_als_dt.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk {
 namespace {
 
-TEST(DimtreeSplit, BalancesGroups) {
-  // 4 x 4 x 4 x 4: the balanced split is s = 2 (16 | 16).
-  EXPECT_EQ(dimtree_split(Tensor({4, 4, 4, 4})), 2);
-  // 100 x 2 x 2: left = 100 at s=1 vs 200|2 at s=2 -> max(100,4)=... s=1
-  // gives max(100, 4) = 100; s = 2 gives max(200, 2) = 200.
-  EXPECT_EQ(dimtree_split(Tensor({100, 2, 2})), 1);
-  // 2 x 2 x 100: s = 2 gives max(4, 100) = 100; s = 1 gives max(2, 200).
-  EXPECT_EQ(dimtree_split(Tensor({2, 2, 100})), 2);
-  // Two-way tensors have only s = 1.
-  EXPECT_EQ(dimtree_split(Tensor({7, 9})), 1);
+/// `opts` with the sweep pinned to the dimension tree.
+CpAlsOptions dimtree(CpAlsOptions opts) {
+  opts.sweep_scheme = SweepScheme::DimTree;
+  return opts;
+}
+
+/// `opts` with the sweep pinned to the per-mode kernels (Auto would pick
+/// the tree itself at N >= 4).
+CpAlsOptions permode(CpAlsOptions opts) {
+  opts.sweep_scheme = SweepScheme::PerMode;
+  return opts;
 }
 
 class DimtreeShapes
@@ -39,8 +40,8 @@ TEST_P(DimtreeShapes, MatchesStandardCpAlsTrajectory) {
   opts.max_iters = 4;
   opts.tol = 0.0;
   opts.seed = 5;
-  const CpAlsResult std_r = cp_als(X, opts);
-  const CpAlsResult dt_r = cp_als_dimtree(X, opts);
+  const CpAlsResult std_r = cp_als(X, permode(opts));
+  const CpAlsResult dt_r = cp_als(X, dimtree(opts));
   ASSERT_EQ(std_r.iterations, dt_r.iterations);
   EXPECT_NEAR(std_r.final_fit, dt_r.final_fit, 1e-9);
   for (std::size_t n = 0; n < dims.size(); ++n) {
@@ -71,7 +72,7 @@ TEST(Dimtree, RecoversLowRankTensor) {
   opts.rank = 2;
   opts.max_iters = 300;
   opts.tol = 1e-10;
-  const CpAlsResult r = cp_als_dimtree(X, opts);
+  const CpAlsResult r = cp_als(X, dimtree(opts));
   EXPECT_GT(r.final_fit, 0.999);
   EXPECT_GT(factor_match_score(r.model, truth), 0.99);
 }
@@ -84,7 +85,7 @@ TEST(Dimtree, ConvergenceFlagWorks) {
   opts.rank = 2;
   opts.max_iters = 500;
   opts.tol = 1e-7;
-  const CpAlsResult r = cp_als_dimtree(X, opts);
+  const CpAlsResult r = cp_als(X, dimtree(opts));
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.iterations, 500);
 }
@@ -99,8 +100,8 @@ TEST(Dimtree, ThreadInvariant) {
   CpAlsOptions o4 = o1;
   o1.threads = 1;
   o4.threads = 4;
-  const CpAlsResult r1 = cp_als_dimtree(X, o1);
-  const CpAlsResult r4 = cp_als_dimtree(X, o4);
+  const CpAlsResult r1 = cp_als(X, dimtree(o1));
+  const CpAlsResult r4 = cp_als(X, dimtree(o4));
   EXPECT_NEAR(r1.final_fit, r4.final_fit, 1e-9);
 }
 
@@ -113,7 +114,7 @@ TEST(Dimtree, WarmStartSupported) {
   opts.max_iters = 10;
   opts.tol = 1e-9;
   opts.initial_guess = &truth;
-  const CpAlsResult r = cp_als_dimtree(X, opts);
+  const CpAlsResult r = cp_als(X, dimtree(opts));
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.final_fit, 1.0 - 1e-6);
 }
@@ -139,8 +140,8 @@ TEST(Dimtree, FewerFullTensorPassesReflectedInTime) {
   double std_time = std::numeric_limits<double>::infinity();
   double dt_time = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
-    std_time = std::min(std_time, mttkrp_time(cp_als(X, opts)));
-    dt_time = std::min(dt_time, mttkrp_time(cp_als_dimtree(X, opts)));
+    std_time = std::min(std_time, mttkrp_time(cp_als(X, permode(opts))));
+    dt_time = std::min(dt_time, mttkrp_time(cp_als(X, dimtree(opts))));
   }
   EXPECT_LT(dt_time, std_time * 1.5);  // generous bound; typically < 0.7x
 }
@@ -150,7 +151,7 @@ TEST(Dimtree, RejectsBadOptions) {
   Tensor X = Tensor::random_uniform({4, 4, 4}, rng);
   CpAlsOptions opts;
   opts.rank = 0;
-  EXPECT_THROW(cp_als_dimtree(X, opts), DimensionError);
+  EXPECT_THROW(cp_als(X, dimtree(opts)), DimensionError);
 }
 
 }  // namespace

@@ -273,6 +273,8 @@ TEST_F(ServeTest, MalformedRequestTable) {
        "invalid_request"},
       {R"({"type":"decompose","tensor":"x.dten","sweep":"bogus"})",
        "invalid_request"},
+      {R"({"type":"decompose","tensor":"x.dten","levels":1})",
+       "invalid_request"},  // the dimension tree has no depth cap
       {R"({"type":"decompose","tensor":"/nonexistent/x.dten"})", "io_error"},
       {R"({"type":"mttkrp","tensor":"x.dten"})",
        "invalid_request"},  // mode required

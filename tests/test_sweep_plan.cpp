@@ -1,18 +1,19 @@
 // Coverage for the CP-ALS sweep planner (exec/sweep_plan.hpp): DimTree
-// leaf MTTKRPs vs the Reference oracle across orders 3-6 and degenerate
-// shapes, DimTree-vs-PerMode driver iterate equivalence, tree-depth
-// ablation agreement, plan reuse across factorizations, the in-order sweep
-// protocol, and the zero-allocation contract (arena instrumentation +
-// blas::gemm_internal_allocs) over full dimension-tree sweeps.
+// leaf MTTKRPs vs the Reference oracle across orders 2-6 and degenerate
+// shapes (one- and two-sided group recoveries), DimTree-vs-PerMode driver
+// iterate equivalence, plan reuse across factorizations, the in-order
+// sweep protocol, and the zero-allocation contract (arena instrumentation
+// + blas::gemm_internal_allocs) over full dimension-tree sweeps.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm_workspace.hpp"
 #include "core/cp_als.hpp"
-#include "core/cp_als_dt.hpp"
 #include "core/cp_nn.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
@@ -28,23 +29,22 @@ using testing::random_factors;
 /// One sweep with FIXED factors: every DimTree leaf must then equal the
 /// plain mode-n MTTKRP (the tree is an algebraic rearrangement).
 void expect_leaves_match_reference(const std::vector<index_t>& dims,
-                                   index_t rank, int threads, int levels,
+                                   index_t rank, int threads,
                                    SweepScheme scheme = SweepScheme::DimTree) {
   Rng rng(100 + static_cast<std::uint64_t>(dims.size()) +
           static_cast<std::uint64_t>(rank));
   Tensor X = Tensor::random_uniform(dims, rng);
   const std::vector<Matrix> fs = random_factors(dims, rank, rng);
   ExecContext ctx(threads);
-  CpAlsSweepPlan plan(ctx, X.dims(), rank, scheme, MttkrpMethod::Auto,
-                      levels);
+  CpAlsSweepPlan plan(ctx, X.dims(), rank, scheme);
   plan.begin_sweep(X);
   Matrix M;
   for (index_t n = 0; n < X.order(); ++n) {
     plan.mode_mttkrp(n, X, fs, M);
     const Matrix ref = mttkrp(X, fs, n, MttkrpMethod::Reference);
     SCOPED_TRACE("scheme=" + std::string(to_string(plan.scheme())) +
-                 " levels=" + std::to_string(levels) + " mode=" +
-                 std::to_string(n) + " threads=" + std::to_string(threads));
+                 " mode=" + std::to_string(n) +
+                 " threads=" + std::to_string(threads));
     expect_matrix_near(M, ref, 1e-9);
   }
 }
@@ -53,13 +53,13 @@ TEST(SweepPlanDimTree, LeavesMatchReferenceAcrossOrders) {
   const std::vector<std::vector<index_t>> shapes = {
       {5, 4},                 // 2-way: both root children are leaves
       {5, 4, 6},              // 3-way
-      {3, 4, 2, 5},           // 4-way
-      {3, 2, 4, 2, 3},        // 5-way
-      {2, 3, 2, 2, 3, 2},     // 6-way: multi-level tree
+      {3, 4, 2, 5},           // 4-way: 2 | 2 groups, one-sided leaves
+      {3, 2, 4, 2, 3},        // 5-way: 3 | 2 groups
+      {2, 3, 2, 2, 3, 2},     // 6-way: 3 | 3, two-sided middle leaves
   };
   for (const auto& dims : shapes) {
     for (int threads : {1, 3}) {
-      expect_leaves_match_reference(dims, 3, threads, /*levels=*/0);
+      expect_leaves_match_reference(dims, 3, threads);
     }
   }
 }
@@ -67,26 +67,41 @@ TEST(SweepPlanDimTree, LeavesMatchReferenceAcrossOrders) {
 TEST(SweepPlanDimTree, DegenerateShapes) {
   // A mode of extent 1 (leading, internal, trailing), rank 1, and rank
   // larger than every extent.
-  expect_leaves_match_reference({1, 4, 3}, 3, 2, 0);
-  expect_leaves_match_reference({4, 1, 3, 2}, 2, 2, 0);
-  expect_leaves_match_reference({3, 4, 1}, 2, 1, 0);
-  expect_leaves_match_reference({3, 2, 4}, 1, 2, 0);
-  expect_leaves_match_reference({3, 2, 4, 2}, 7, 3, 0);
-  expect_leaves_match_reference({2, 1, 2, 1, 3}, 4, 2, 0);
+  expect_leaves_match_reference({1, 4, 3}, 3, 2);
+  expect_leaves_match_reference({4, 1, 3, 2}, 2, 2);
+  expect_leaves_match_reference({3, 4, 1}, 2, 1);
+  expect_leaves_match_reference({3, 2, 4}, 1, 2);
+  expect_leaves_match_reference({3, 2, 4, 2}, 7, 3);
+  expect_leaves_match_reference({2, 1, 2, 1, 3}, 4, 2);
 }
 
-TEST(SweepPlanDimTree, TreeDepthAblationAgrees) {
-  // 1-level (the old two-group scheme), capped, and full trees all
-  // produce the same leaves.
-  for (int levels : {1, 2, 0}) {
-    expect_leaves_match_reference({3, 4, 2, 5}, 4, 2, levels);
-    expect_leaves_match_reference({2, 3, 2, 2, 3, 2}, 3, 3, levels);
-  }
+TEST(SweepPlanDimTree, TwoGroupTreeNodes) {
+  // The root splits once into two groups (depth 0); a group of two or more
+  // modes has one leaf per mode below it (depth 1), and a one-mode group
+  // is its own leaf.
+  ExecContext ctx(1);
+  using Node = std::array<index_t, 3>;  // first, last, depth
+  const auto nodes_of = [&ctx](std::vector<index_t> dims) {
+    CpAlsSweepPlan plan(ctx, dims, 2, SweepScheme::DimTree);
+    std::vector<Node> nodes;
+    for (const SweepNodeTimings& tm : plan.timings().nodes) {
+      nodes.push_back({tm.first, tm.last, tm.depth});
+    }
+    return nodes;
+  };
+  EXPECT_EQ(nodes_of({4, 4, 4, 4}),
+            (std::vector<Node>{{0, 2, 0}, {0, 1, 1}, {1, 2, 1},
+                               {2, 4, 0}, {2, 3, 1}, {3, 4, 1}}));
+  EXPECT_EQ(nodes_of({100, 2, 2}),
+            (std::vector<Node>{{0, 1, 0}, {1, 3, 0}, {1, 2, 1}, {2, 3, 1}}));
+  EXPECT_EQ(nodes_of({2, 3, 2, 2, 3, 2}),
+            (std::vector<Node>{{0, 3, 0}, {0, 1, 1}, {1, 2, 1}, {2, 3, 1},
+                               {3, 6, 0}, {3, 4, 1}, {4, 5, 1}, {5, 6, 1}}));
 }
 
 TEST(SweepPlanDimTree, PerModeSchemeThroughSameInterface) {
-  expect_leaves_match_reference({5, 4, 6}, 3, 2, 0, SweepScheme::PerMode);
-  expect_leaves_match_reference({3, 4, 2, 5}, 4, 1, 0, SweepScheme::PerMode);
+  expect_leaves_match_reference({5, 4, 6}, 3, 2, SweepScheme::PerMode);
+  expect_leaves_match_reference({3, 4, 2, 5}, 4, 1, SweepScheme::PerMode);
 }
 
 TEST(SweepPlanDimTree, PlanReuseAcrossFactorizations) {
@@ -109,16 +124,10 @@ TEST(SweepPlanDimTree, PlanReuseAcrossFactorizations) {
   EXPECT_EQ(ctx.arena().in_use(), 0u);
 }
 
-TEST(SweepPlanDimTree, LevelsMetadata) {
+TEST(SweepPlanDimTree, SchemeMetadata) {
   ExecContext ctx(1);
   const std::vector<index_t> dims{2, 3, 2, 2, 3, 2};
-  CpAlsSweepPlan full(ctx, dims, 2, SweepScheme::DimTree);
-  CpAlsSweepPlan one(ctx, dims, 2, SweepScheme::DimTree, MttkrpMethod::Auto,
-                     /*max_levels=*/1);
-  EXPECT_GT(full.levels(), one.levels());
-  EXPECT_EQ(one.levels(), 1);
   CpAlsSweepPlan permode(ctx, dims, 2, SweepScheme::PerMode);
-  EXPECT_EQ(permode.levels(), 0);
   EXPECT_EQ(permode.scheme(), SweepScheme::PerMode);
   // Auto heuristic: DimTree for N >= 4, PerMode below.
   CpAlsSweepPlan auto6(ctx, dims, 2, SweepScheme::Auto);
@@ -232,17 +241,6 @@ TEST(SweepSchemeAuto, AutoDriverMatchesExplicitDimTreeOnFourWay) {
   expect_same_result(cp_als(X, opts), cp_als(X, dt));
 }
 
-TEST(SweepScheme, DimtreeWrapperPinsTheScheme) {
-  Rng rng(52);
-  Tensor X = Tensor::random_uniform({4, 5, 3, 4}, rng);
-  CpAlsOptions opts;
-  opts.rank = 2;
-  opts.max_iters = 3;
-  CpAlsOptions dt = opts;
-  dt.sweep_scheme = SweepScheme::DimTree;
-  expect_same_result(cp_als_dimtree(X, opts), cp_als(X, dt));
-}
-
 TEST(SweepScheme, NnhalsRunsDimTree) {
   Rng rng(53);
   Tensor X = Tensor::random_uniform({5, 4, 3, 4}, rng);
@@ -317,27 +315,31 @@ TEST(SweepScheme, DimTreeFillsSweepTimings) {
 // ---------------------------------------------------------------------------
 
 TEST(SweepPlanDimTree, SweepIsAllocationFreeAfterConstruction) {
+  // One plan with one-sided leaf recoveries only (2 | 2 groups), one with
+  // two-sided middle leaves (3 | 2 groups), sharing one context.
   Rng rng(56);
-  const std::vector<index_t> dims{7, 6, 5, 4};
-  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<index_t> dims4{7, 6, 5, 4};
+  const std::vector<index_t> dims5{4, 3, 5, 2, 3};
+  Tensor X4 = Tensor::random_uniform(dims4, rng);
+  Tensor X5 = Tensor::random_uniform(dims5, rng);
   ExecContext ctx(3);
-  CpAlsSweepPlan plan(ctx, X.dims(), 5, SweepScheme::DimTree);
-  CpAlsSweepPlan one_level(ctx, X.dims(), 5, SweepScheme::DimTree,
-                           MttkrpMethod::Auto, /*max_levels=*/1);
+  CpAlsSweepPlan plan4(ctx, X4.dims(), 5, SweepScheme::DimTree);
+  CpAlsSweepPlan plan5(ctx, X5.dims(), 5, SweepScheme::DimTree);
 
   const std::size_t grows = ctx.arena().grow_count();
   const std::size_t capacity = ctx.arena().capacity();
   const std::size_t blas_allocs = blas::gemm_internal_allocs();
-  EXPECT_LE(plan.workspace_bytes(), capacity);
-  EXPECT_LE(one_level.workspace_bytes(), capacity);
+  EXPECT_LE(plan4.workspace_bytes(), capacity);
+  EXPECT_LE(plan5.workspace_bytes(), capacity);
 
   Matrix M;
   for (int round = 0; round < 3; ++round) {
-    std::vector<Matrix> fs = random_factors(dims, 5, rng);
-    for (CpAlsSweepPlan* p : {&plan, &one_level}) {
-      p->begin_sweep(X);
-      for (index_t n = 0; n < X.order(); ++n) {
-        p->mode_mttkrp(n, X, fs, M);
+    for (auto [p, X] : {std::pair{&plan4, &X4}, std::pair{&plan5, &X5}}) {
+      const std::vector<index_t> dims(X->dims().begin(), X->dims().end());
+      std::vector<Matrix> fs = random_factors(dims, 5, rng);
+      p->begin_sweep(*X);
+      for (index_t n = 0; n < X->order(); ++n) {
+        p->mode_mttkrp(n, *X, fs, M);
         // In-place factor updates between modes, as in a real sweep.
         fs[static_cast<std::size_t>(n)] =
             testing::random_factors(dims, 5, rng)[static_cast<std::size_t>(n)];
@@ -401,12 +403,19 @@ TEST(SweepPlan, ValidationErrors) {
   EXPECT_THROW(plan.mode_mttkrp(0, X, bad, M), DimensionError);
 }
 
-TEST(SweepBalancedSplit, GeneralizesDimtreeSplit) {
-  EXPECT_EQ(dimtree_split(Tensor({4, 4, 4, 4})), 2);
-  EXPECT_EQ(dimtree_split(Tensor({100, 2, 2})), 1);
-  EXPECT_EQ(dimtree_split(Tensor({2, 2, 100})), 2);
-  EXPECT_EQ(dimtree_split(Tensor({7, 9})), 1);
-  // Sub-interval splits used by the deeper tree levels.
+TEST(SweepBalancedSplit, BalancesGroups) {
+  const auto root_split = [](std::vector<index_t> dims) {
+    return sweep_balanced_split(dims, 0, static_cast<index_t>(dims.size()));
+  };
+  // 4 x 4 x 4 x 4: the balanced split is s = 2 (16 | 16).
+  EXPECT_EQ(root_split({4, 4, 4, 4}), 2);
+  // 100 x 2 x 2: s = 1 gives max(100, 4) = 100; s = 2 gives max(200, 2).
+  EXPECT_EQ(root_split({100, 2, 2}), 1);
+  // 2 x 2 x 100: s = 2 gives max(4, 100) = 100; s = 1 gives max(2, 200).
+  EXPECT_EQ(root_split({2, 2, 100}), 2);
+  // Two-way tensors have only s = 1.
+  EXPECT_EQ(root_split({7, 9}), 1);
+  // Sub-interval splits.
   const std::vector<index_t> dims{2, 2, 100, 3};
   EXPECT_EQ(sweep_balanced_split(dims, 0, 2), 1);
   EXPECT_EQ(sweep_balanced_split(dims, 1, 4), 3);

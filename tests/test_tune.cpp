@@ -2,7 +2,8 @@
 // CRC-checked save/load path, the strictness contract (corrupt or
 // other-CPU profiles never half-apply), the apply/clear side effects on
 // the process-global dispatch level and GEMM blocking, the plan-time
-// consults (dimtree min-order/levels, two-step side), and the numerical
+// consults (dimtree min-order, two-step side), loading profiles in the
+// older format that still carries the tree-depth key, and the numerical
 // contract of a loaded profile: blocking changes that only re-partition
 // MC/NC are BITWISE invisible (per-C-element accumulation order depends
 // only on the KC split and the in-kernel p order), while a KC change is
@@ -26,6 +27,7 @@
 #include "exec/mttkrp_plan.hpp"
 #include "exec/sweep_plan.hpp"
 #include "io/checked_io.hpp"
+#include "serve/json.hpp"
 #include "tune/wisdom.hpp"
 #include "util/rng.hpp"
 
@@ -70,7 +72,6 @@ class TuneTest : public ::testing::Test {
     p.best_simd_f64 = blas::default_simd_level();
     p.best_simd_f32 = blas::default_simd_level();
     p.blocking = GemmBlocking{128, 192, 512};
-    p.dimtree_levels = 1;
     p.dimtree_min_order = 3;
     p.twostep = TwoStepPref::Right;
     p.sparse_crossover = 0.25;
@@ -105,7 +106,6 @@ TEST_F(TuneTest, ProfileJsonRoundTrips) {
   EXPECT_EQ(q.best_simd_f64, p.best_simd_f64);
   EXPECT_EQ(q.best_simd_f32, p.best_simd_f32);
   EXPECT_EQ(q.blocking, p.blocking);
-  EXPECT_EQ(q.dimtree_levels, p.dimtree_levels);
   EXPECT_EQ(q.dimtree_min_order, p.dimtree_min_order);
   EXPECT_EQ(q.twostep, p.twostep);
   EXPECT_DOUBLE_EQ(q.sparse_crossover, p.sparse_crossover);
@@ -187,7 +187,6 @@ TEST_F(TuneTest, ApplyAndClearMoveTheGlobalKnobs) {
     EXPECT_EQ(blas::simd_level(), p.best_simd_f64);
   }
   EXPECT_EQ(auto_dimtree_min_order(), 3);
-  EXPECT_EQ(wisdom_dimtree_levels(), 1);
   EXPECT_EQ(wisdom_twostep(), TwoStepPref::Right);
   EXPECT_DOUBLE_EQ(wisdom_sparse_crossover(), 0.25);
 
@@ -195,7 +194,6 @@ TEST_F(TuneTest, ApplyAndClearMoveTheGlobalKnobs) {
   EXPECT_FALSE(wisdom_loaded());
   EXPECT_EQ(blas::gemm_blocking(), GemmBlocking{});
   EXPECT_EQ(auto_dimtree_min_order(), kDefaultDimtreeMinOrder);
-  EXPECT_EQ(wisdom_dimtree_levels(), kDefaultDimtreeLevels);
   EXPECT_EQ(wisdom_twostep(), TwoStepPref::Heuristic);
   EXPECT_DOUBLE_EQ(wisdom_sparse_crossover(), kDefaultSparseCrossover);
 }
@@ -209,6 +207,43 @@ TEST_F(TuneTest, LoadWisdomAppliesOnMatch) {
   EXPECT_TRUE(wisdom_loaded());
   EXPECT_EQ(wisdom_source(), path);
   EXPECT_EQ(blas::gemm_blocking(), p.blocking);
+}
+
+TEST_F(TuneTest, StrictLoadAcceptsProfileWithTreeDepthKey) {
+  // A profile as written while the dimension tree still had a depth cap:
+  // the current fields plus one more dimtree key, which the reader now
+  // ignores. Brand and ladder are this machine's, so the strict load
+  // (the CLI's --wisdom path) must accept and apply it.
+  const std::string text =
+      R"({"best_simd_f32":"scalar","best_simd_f64":"scalar",)"
+      R"("blocking":{"kc":192,"mc":128,"nc":512},"cpu_brand":)" +
+      serve::Json(cpu_brand()).dump() + R"(,"cpu_ladder":)" +
+      serve::Json(cpu_ladder()).dump() +
+      R"(,"created":"2026-10-17T23:27:32Z","default_gflops_f64":0.5,)"
+      R"("dimtree_levels":1,"dimtree_min_order":3,)"
+      R"("format":"dmtk-wisdom-v1",)"
+      R"("levels":[{"f32_gflops":2,"f64_gflops":1,"level":"scalar"}],)"
+      R"("quick":true,"sparse_crossover":0.25,"tune_threads":4,)"
+      R"("tuned_gflops_f64":0.75,"twostep":"right"})";
+  const WisdomProfile p = profile_from_json(text);
+  EXPECT_EQ(p.dimtree_min_order, 3);
+  EXPECT_EQ(p.twostep, TwoStepPref::Right);
+  // The current writer no longer emits the key.
+  EXPECT_EQ(profile_to_json(p).find("_levels\""), std::string::npos);
+
+  const std::string path = scratch_file("legacy");
+  {
+    io::FileWriter w(path, io::FileWriter::Footer::Crc32);
+    w.write_text(text);
+    w.write_text("\n");
+    w.commit();
+  }
+  std::string why;
+  ASSERT_TRUE(load_wisdom(path, &why)) << why;
+  EXPECT_EQ(blas::gemm_blocking(), (GemmBlocking{128, 192, 512}));
+  EXPECT_EQ(auto_dimtree_min_order(), 3);
+  EXPECT_EQ(wisdom_twostep(), TwoStepPref::Right);
+  EXPECT_DOUBLE_EQ(wisdom_sparse_crossover(), 0.25);
 }
 
 TEST_F(TuneTest, SetGemmBlockingClampsToSaneBounds) {
@@ -239,23 +274,6 @@ TEST_F(TuneTest, DimtreeMinOrderConsultSteersAutoResolution) {
   // Explicit schemes are never overridden by wisdom.
   EXPECT_EQ(resolve_sweep_scheme(SweepScheme::PerMode, 6),
             SweepScheme::PerMode);
-}
-
-TEST_F(TuneTest, DimtreeLevelsConsultCapsPlannedTreeDepth) {
-  const std::vector<index_t> dims{4, 4, 4, 4};
-  ExecContext ctx(1);
-  CpAlsSweepPlan full(ctx, dims, 4, SweepScheme::DimTree);
-  EXPECT_GT(full.levels(), 1);
-
-  WisdomProfile p = local_profile();  // dimtree_levels = 1
-  apply_wisdom(p);
-  CpAlsSweepPlan capped(ctx, dims, 4, SweepScheme::DimTree);
-  EXPECT_EQ(capped.levels(), 1);
-
-  // An explicit caller cap still wins over the consult.
-  CpAlsSweepPlan explicit_full(ctx, dims, 4, SweepScheme::DimTree,
-                               MttkrpMethod::Auto, 8);
-  EXPECT_GT(explicit_full.levels(), 1);
 }
 
 TEST_F(TuneTest, TwoStepConsultSteersAutoSide) {

@@ -68,7 +68,7 @@ using namespace dmtk;
       "             --json prints the full measurement report)\n"
       "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
       "            [--precision double|float] [--accumulate double|float]\n"
-      "            [--sweep permode|dimtree|auto] [--levels n] [--dimtree]\n"
+      "            [--sweep permode|dimtree|auto] [--dimtree]\n"
       "            [--method reference|reorder|1-step-seq|1-step|2-step|auto]\n"
       "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
@@ -76,15 +76,14 @@ using namespace dmtk;
       "             n sweeps (atomic rename + CRC); --resume restarts an\n"
       "             interrupted run from it, bit-identical to uninterrupted)\n"
       "            (--sweep dimtree shares partial MTTKRPs across modes;\n"
-      "             --levels caps the tree depth, 0 = full tree; --dimtree\n"
-      "             is the legacy alias for --sweep dimtree; auto picks\n"
-      "             dimtree for 4-way-and-up tensors; --precision float\n"
-      "             runs the whole ALS pipeline in fp32 — half the memory\n"
-      "             bandwidth, fit accurate to ~1e-4; --accumulate double\n"
-      "             keeps fp32 storage but sums every MTTKRP entry in fp64,\n"
-      "             recovering the fp64 fit floor at fp32 storage cost —\n"
-      "             slower per sweep: the fp64 loop skips the blocked\n"
-      "             kernels)\n"
+      "             --dimtree is the legacy alias for --sweep dimtree;\n"
+      "             auto picks dimtree for 4-way-and-up tensors;\n"
+      "             --precision float runs the whole ALS pipeline in fp32 —\n"
+      "             half the memory bandwidth, fit accurate to ~1e-4;\n"
+      "             --accumulate double keeps fp32 storage but sums every\n"
+      "             MTTKRP entry in fp64, recovering the fp64 fit floor at\n"
+      "             fp32 storage cost — slower per sweep: the fp64 loop\n"
+      "             skips the blocked kernels)\n"
       "            (--wisdom loads a tuned profile STRICTLY: a missing,\n"
       "             corrupt, or other-CPU profile aborts the run; the\n"
       "             DMTK_WISDOM env autoloads leniently instead)\n"
@@ -111,7 +110,7 @@ using namespace dmtk;
       "             and busy rejections, exponential backoff + jitter)\n"
       "            actions: stats | health | shutdown | info <tensor>\n"
       "              | decompose <tensor> [--rank R] [--iters n] [--tol f]\n"
-      "                [--seed s] [--sweep sch] [--method m] [--levels n]\n"
+      "                [--seed s] [--sweep sch] [--method m]\n"
       "                [--precision double|float] [--out F] [--cold]\n"
       "                [--inline | --no-inline]\n"
       "              | mttkrp <tensor> --mode n [--rank R] [--seed s]\n"
@@ -393,13 +392,12 @@ int cmd_info_cpu(const Flags& flags) {
         std::string(blas::to_string(p->best_simd_f64)).c_str(),
         p->tuned_gflops_f64, p->default_gflops_f64,
         std::string(blas::to_string(p->best_simd_f32)).c_str());
-    std::printf("  blocking MCxKCxNC %lldx%lldx%lld, dimtree min-order %lld "
-                "levels %d, two-step %s, sparse crossover %.3g\n",
+    std::printf("  blocking MCxKCxNC %lldx%lldx%lld, dimtree min-order %lld, "
+                "two-step %s, sparse crossover %.3g\n",
                 static_cast<long long>(p->blocking.mc),
                 static_cast<long long>(p->blocking.kc),
                 static_cast<long long>(p->blocking.nc),
                 static_cast<long long>(p->dimtree_min_order),
-                p->dimtree_levels,
                 std::string(tune::to_string(p->twostep)).c_str(),
                 p->sparse_crossover);
   } else {
@@ -474,7 +472,7 @@ int cmd_tune(int argc, char** argv) {
 /// Sparse decompose: .tns input through the plan layer (SparseCsf by
 /// default). The dense-only knobs are rejected loudly rather than ignored.
 int cmd_decompose_sparse(const std::string& pos, Flags& flags) {
-  for (const char* dense_only : {"nn", "method", "levels", "dimtree"}) {
+  for (const char* dense_only : {"nn", "method", "dimtree"}) {
     if (flags.count(dense_only) != 0) {
       std::fprintf(stderr, "--%s needs a dense tensor (.dten input)\n",
                    dense_only);
@@ -606,7 +604,6 @@ int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
   opts.method = dopts.method;
   opts.seed = dopts.seed;
   opts.sweep_scheme = dopts.sweep_scheme;
-  opts.dimtree_levels = dopts.dimtree_levels;
   opts.exec = &ctx;
   opts.checkpoint_path = dopts.checkpoint_path;
   opts.checkpoint_every = dopts.checkpoint_every;
@@ -651,7 +648,6 @@ int cmd_decompose(int argc, char** argv) {
   opts.tol = flag_double(flags, "tol", 1e-6, 0.0);
   opts.exec = &ctx;
   opts.seed = static_cast<std::uint64_t>(flag_int(flags, "seed", 42, 0));
-  opts.dimtree_levels = static_cast<int>(flag_int(flags, "levels", 0, 0));
   opts.checkpoint_path = flag_str(flags, "checkpoint");
   opts.checkpoint_every =
       static_cast<int>(flag_int(flags, "checkpoint-every", 1, 1));
@@ -707,12 +703,6 @@ int cmd_decompose(int argc, char** argv) {
   // request.
   const SweepScheme resolved =
       resolve_sweep_scheme(opts.sweep_scheme, order, opts.method);
-  if (flags.count("levels") != 0 && resolved != SweepScheme::DimTree) {
-    // Only the dimension tree has a depth; ignoring the flag would let the
-    // user believe they ran the 1-level ablation on a PerMode sweep.
-    std::fprintf(stderr, "--levels requires the dimtree sweep\n");
-    return 1;
-  }
   if (flags.count("accumulate") != 0 && !f32) {
     std::fprintf(stderr,
                  "--accumulate requires --precision float (the double "
@@ -895,9 +885,6 @@ int cmd_client(int argc, char** argv) {
         }
         if (flags.count("method") != 0) {
           req.set("method", serve::Json(flag_str(flags, "method")));
-        }
-        if (flags.count("levels") != 0) {
-          req.set("levels", serve::Json(flag_int(flags, "levels", 0, 0)));
         }
         if (flags.count("cold") != 0) req.set("cold", serve::Json(true));
         if (flags.count("inline") != 0) {
