@@ -15,7 +15,9 @@ namespace dmtk::io {
 namespace {
 
 constexpr std::size_t kWriteBufBytes = 1u << 16;
-constexpr std::size_t kReadBufBytes = 1u << 16;
+/// Direct reads land in pieces this size: each is folded into the CRC
+/// while it still sits in L2.
+constexpr std::size_t kDirectPieceBytes = 1u << 18;
 
 std::string errno_text(int err) {
   return err != 0 ? std::string(std::strerror(err)) : std::string("error");
@@ -199,31 +201,46 @@ void FileReader::fail(const std::string& what) {
   throw IoError("'" + path_.string() + "': " + what);
 }
 
-void FileReader::refill(std::size_t need) {
-  // Compact the consumed prefix, then read up to the payload boundary.
-  buf_.erase(0, buf_pos_);
-  buf_pos_ = 0;
-  const std::uint64_t buffered = buf_.size();
-  const std::uint64_t payload_left = payload_size_ - offset_ - buffered;
-  std::uint64_t want =
-      std::min<std::uint64_t>(payload_left, kReadBufBytes - buffered);
-  while (buf_.size() < need && want > 0) {
-    char chunk[kReadBufBytes];
-    const std::size_t ask =
-        static_cast<std::size_t>(std::min<std::uint64_t>(want, sizeof chunk));
-    ssize_t n = ::read(fd_, chunk, ask);
+std::size_t FileReader::read_some(char* dst, std::size_t ask,
+                                  std::uint64_t at) {
+  for (;;) {
+    ssize_t n = ::read(fd_, dst, ask);
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail("read() failed at offset " + std::to_string(offset_ + buf_.size()) +
-           ": " + errno_text(errno));
+      fail("read() failed at offset " + std::to_string(at) + ": " +
+           errno_text(errno));
     }
     if (fault::any_armed() && fault::should_fail("io.read.short")) n = 0;
     if (n == 0)
       fail("truncated: unexpected end of data at offset " +
-           std::to_string(offset_ + buf_.size()) + " (payload size " +
+           std::to_string(at) + " (payload size " +
            std::to_string(payload_size_) + ")");
-    buf_.append(chunk, static_cast<std::size_t>(n));
-    want -= static_cast<std::uint64_t>(n);
+    return static_cast<std::size_t>(n);
+  }
+}
+
+void FileReader::refill(std::size_t need) {
+  // Only called on an empty buffer, so the file position is offset_.
+  const std::size_t want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(payload_size_ - offset_, buf_.size()));
+  buf_pos_ = 0;
+  buf_end_ = 0;
+  while (buf_end_ < need)
+    buf_end_ += read_some(buf_.data() + buf_end_, want - buf_end_,
+                          offset_ + buf_end_);
+}
+
+void FileReader::read_direct(char* out, std::size_t n) {
+  while (n > 0) {
+    const std::size_t piece = std::min(n, kDirectPieceBytes);
+    std::size_t got = 0;
+    while (got < piece)
+      got += read_some(out + got, piece - got, offset_ + got);
+    // Fold while the piece is still cache-resident.
+    crc_ = util::crc32_update(crc_, out, piece);
+    out += piece;
+    offset_ += piece;
+    n -= piece;
   }
 }
 
@@ -233,18 +250,25 @@ void FileReader::read_bytes(void* data, std::size_t n) {
          std::to_string(offset_) + " but payload ends at " +
          std::to_string(payload_size_));
   char* out = static_cast<char*>(data);
-  while (n > 0) {
-    if (buf_pos_ == buf_.size()) {
-      refill(std::min<std::size_t>(n, kReadBufBytes));
-    }
-    const std::size_t have = buf_.size() - buf_pos_;
-    const std::size_t take = std::min(n, have);
+  const auto take_buffered = [&] {
+    const std::size_t take = std::min(n, buf_end_ - buf_pos_);
+    if (take == 0) return;  // `data` may be null for an empty read
     std::memcpy(out, buf_.data() + buf_pos_, take);
     crc_ = util::crc32_update(crc_, out, take);
     buf_pos_ += take;
     out += take;
     offset_ += take;
     n -= take;
+  };
+  take_buffered();
+  if (n == 0) return;
+  // The buffer is drained. A request at least a buffer long goes straight
+  // into the caller's memory; a short one refills the buffer first.
+  if (n >= buf_.size()) {
+    read_direct(out, n);
+  } else {
+    refill(n);
+    take_buffered();
   }
 }
 

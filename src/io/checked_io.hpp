@@ -27,6 +27,13 @@
 ///    file size minus footer, and when neither holds the whole file is
 ///    payload with checksum verification skipped.
 ///
+/// Read path. Small reads (headers, extents) are served from a 64 KiB
+/// buffer that read() fills directly. A read of a buffer's length or more
+/// first drains the buffer, then read()s straight into the caller's memory
+/// in 256 KiB pieces, folding each into the CRC while it is still in
+/// cache — the payload is copied once, by the kernel, and checksummed at
+/// the PCLMULQDQ fold's speed (util/crc32.hpp).
+///
 /// Text writers (.tns, .csv) use Footer::None: same atomic-replace
 /// discipline, no footer (the formats are line-oriented interchange
 /// formats read by other tools).
@@ -135,7 +142,14 @@ class FileReader {
   void verify();
 
  private:
+  /// One read() of up to `ask` bytes into `dst`, payload offset `at`.
+  /// Retries EINTR; an OS error, end of file or an injected
+  /// `io.read.short` fault throws the truncation IoError naming `at`.
+  std::size_t read_some(char* dst, std::size_t ask, std::uint64_t at);
+  /// Fill the (empty) buffer with at least `need` bytes.
   void refill(std::size_t need);
+  /// Read `n` bytes straight into `out`, folding the CRC piece by piece.
+  void read_direct(char* out, std::size_t n);
   [[noreturn]] void fail(const std::string& what);
 
   std::filesystem::path path_;
@@ -147,8 +161,10 @@ class FileReader {
   bool has_footer_ = false;
   std::uint64_t footer_payload_size_ = 0;
   std::uint32_t footer_crc_ = 0;
-  std::string buf_;
-  std::size_t buf_pos_ = 0;
+  /// Held inline: a reader puts no buffer on the heap.
+  std::array<char, 1u << 16> buf_{};
+  std::size_t buf_pos_ = 0;  ///< next unconsumed byte in buf_
+  std::size_t buf_end_ = 0;  ///< bytes valid in buf_
 };
 
 }  // namespace dmtk::io

@@ -6,8 +6,8 @@
 # Covers: generate -> info -> decompose -> export in both precisions (dense
 # AND sparse), fp32 HALS, the fp64-accumulate fp32 path, the fp32 payload
 # surfacing in `info`, and the strict-argument audit (every malformed
-# numeric flag must exit 1 with a usage message, never an uncaught
-# exception, which exits 2).
+# numeric flag and every unknown flag must exit 1 with a usage message,
+# never an uncaught exception, which exits 2).
 
 set -u
 dmtk="$1"
@@ -122,6 +122,17 @@ expect_usage_error "${dmtk}" generate --dims 8x8 --density 2 \
 expect_usage_error "${dmtk}" generate --dims 8x8 --nnz abc \
   --out "${work}/bad.tns"
 expect_usage_error "${dmtk}" tucker "${work}/x64.dten" --ranks 4xqx4
+
+# --- unknown flags ----------------------------------------------------------
+# A mistyped or retired flag is a usage error naming it, never ignored.
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 2 --bogus 1
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 2 --levels 1
+expect_grep "unknown flag --bogus" "${dmtk}" decompose "${work}/x64.dten" \
+  --rank 3 --iters 2 --bogus 1
+expect_usage_error "${dmtk}" generate --dims 8x8 --ranks 3 \
+  --out "${work}/bad.dten"
 
 if [[ ${fails} -ne 0 ]]; then
   echo "${fails} CLI round-trip check(s) failed"

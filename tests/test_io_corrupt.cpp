@@ -101,6 +101,18 @@ Tensor small_tensor() {
   return Tensor::random_uniform({5, 4, 3}, rng);
 }
 
+/// 48x40x36 f64 (~550 KB): its payload is several times FileReader's
+/// 64 KiB buffer, so the body read takes the direct-into-caller path and
+/// its piecewise CRC fold.
+constexpr index_t kLargeDims[] = {48, 40, 36};
+
+template <typename T>
+TensorT<T> large_tensor() {
+  Rng rng(23);
+  return TensorT<T>::random_uniform(
+      {kLargeDims[0], kLargeDims[1], kLargeDims[2]}, rng);
+}
+
 TEST_F(IoCorruptTest, TensorF64SurvivesCorruptionWithStructuredErrors) {
   const std::string p = path("x.dten");
   io::write_tensor(p, small_tensor());
@@ -116,6 +128,33 @@ TEST_F(IoCorruptTest, TensorF32SurvivesCorruptionWithStructuredErrors) {
   attack("tensor/f32", p, [](const std::string& f) {
     (void)io::read_tensor_as<float>(f);
   });
+}
+
+TEST_F(IoCorruptTest, LargeTensorF64SurvivesCorruptionWithStructuredErrors) {
+  const std::string p = path("big.dten");
+  const Tensor X = large_tensor<double>();
+  io::write_tensor(p, X);
+  attack("tensor/f64-large", p, [](const std::string& f) {
+    (void)io::read_tensor(f);
+  });
+  const Tensor back = io::read_tensor(p);
+  ASSERT_EQ(back.numel(), X.numel());
+  for (index_t i = 0; i < X.numel(); ++i) ASSERT_EQ(back[i], X[i]);
+}
+
+TEST_F(IoCorruptTest, LargeTensorF32ReadAsF64SurvivesCorruption) {
+  // Widening read: the payload streams through read_converting's staging
+  // chunks, each one a direct read.
+  const std::string p = path("big32.dten");
+  const TensorF X = large_tensor<float>();
+  io::write_tensor(p, X);
+  attack("tensor/f32-as-f64-large", p, [](const std::string& f) {
+    (void)io::read_tensor_as<double>(f);
+  });
+  const Tensor back = io::read_tensor_as<double>(p);
+  ASSERT_EQ(back.numel(), X.numel());
+  for (index_t i = 0; i < X.numel(); ++i)
+    ASSERT_EQ(back[i], static_cast<double>(X[i]));
 }
 
 TEST_F(IoCorruptTest, MatrixSurvivesCorruptionWithStructuredErrors) {
@@ -245,19 +284,55 @@ TEST_F(IoCorruptTest, FailedWriteLeavesPreviousFileIntactAndNoTemps) {
 }
 
 TEST_F(IoCorruptTest, ShortReadFaultDrivesTheTruncationBranch) {
-  const std::string p = path("short.dten");
-  io::write_tensor(p, small_tensor());
-  fault::arm("io.read.short", 1.0, 9);
-  try {
-    (void)io::read_tensor(p);
-    FAIL() << "short-read fault did not surface";
-  } catch (const io::IoError& e) {
-    // The injected short read takes the REAL truncation branch, so the
-    // message carries the offset diagnostics that branch always emits.
-    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+  // The small file is read through the buffer; the large one drains the
+  // buffer and reads the rest of its body directly.
+  const std::string small = path("short.dten");
+  const std::string large = path("short-large.dten");
+  io::write_tensor(small, small_tensor());
+  io::write_tensor(large, large_tensor<double>());
+  for (const std::string& p : {small, large}) {
+    fault::arm("io.read.short", 1.0, 9);
+    try {
+      (void)io::read_tensor(p);
+      FAIL() << p << ": short-read fault did not surface";
+    } catch (const io::IoError& e) {
+      // The injected short read takes the REAL truncation branch, so the
+      // message carries the offset diagnostics that branch always emits.
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+    }
+    fault::disarm_all();
+    EXPECT_NO_THROW((void)io::read_tensor(p));
   }
-  fault::disarm_all();
-  EXPECT_NO_THROW((void)io::read_tensor(p));
+}
+
+TEST_F(IoCorruptTest, ShortReadFaultIsConsultedOnDirectReads) {
+  // At rate 0.5 some seeds let the buffered header read through and fail
+  // a later direct read: the reported offset then lies past the first
+  // buffer's worth. Every armed run either reads the tensor whole or
+  // throws the truncation error; none returns partial data.
+  const std::string p = path("direct.dten");
+  const Tensor X = large_tensor<double>();
+  io::write_tensor(p, X);
+  const std::string marker = "unexpected end of data at offset ";
+  bool failed_past_buffer = false;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    fault::arm("io.read.short", 0.5, seed);
+    try {
+      const Tensor back = io::read_tensor(p);
+      ASSERT_EQ(back.numel(), X.numel());
+      for (index_t i = 0; i < X.numel(); ++i) ASSERT_EQ(back[i], X[i]);
+    } catch (const io::IoError& e) {
+      const std::string what = e.what();
+      const std::size_t at = what.find(marker);
+      ASSERT_NE(at, std::string::npos) << what;
+      const std::uint64_t offset =
+          std::stoull(what.substr(at + marker.size()));
+      if (offset > (std::uint64_t{1} << 16)) failed_past_buffer = true;
+    }
+    fault::disarm_all();
+  }
+  EXPECT_TRUE(failed_past_buffer)
+      << "no seed failed a read past the first 64 KiB";
 }
 
 }  // namespace

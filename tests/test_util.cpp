@@ -1,13 +1,20 @@
 // Tests for util/: block partitioning, stats, RNG, timers, STREAM kernels,
-// and the threading environment.
+// the threading environment and CRC-32.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <new>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
+#include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -304,6 +311,111 @@ TEST(Check, ThrowsWithMessage) {
 }
 
 TEST(Check, PassesSilently) { DMTK_CHECK(true, "never seen"); }
+
+// ----------------------------------------------------------- aligned alloc
+
+TEST(AlignedAllocator, EveryBlockIsAlignedWritableAndFreed) {
+  // Sizes around the alignment and a large block; each block is written
+  // end to end (the sanitizer build checks the bounds) and freed.
+  AlignedAllocator<double> a;
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+        std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{1000},
+        std::size_t{1} << 20}) {
+    double* p = a.allocate(n);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kDefaultAlignment, 0u)
+        << n;
+    for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<double>(i);
+    EXPECT_EQ(p[n - 1], static_cast<double>(n - 1));
+    a.deallocate(p, n);
+  }
+  EXPECT_EQ(a.allocate(0), nullptr);
+  a.deallocate(nullptr, 0);
+}
+
+TEST(AlignedAllocator, OversizedRequestThrowsBadAlloc) {
+  AlignedAllocator<double> a;
+  EXPECT_THROW((void)a.allocate(std::numeric_limits<std::size_t>::max() / 4),
+               std::bad_alloc);
+}
+
+// -------------------------------------------------------------------- crc32
+
+std::vector<unsigned char> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::vector<unsigned char> b(n);
+  for (unsigned char& c : b) c = static_cast<unsigned char>(gen() >> 56);
+  return b;
+}
+
+TEST(Crc32, CheckValue) {
+  // The catalogued check value of CRC-32/ISO-HDLC (the zlib/PNG CRC).
+  EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32("", 0), 0u);
+}
+
+TEST(Crc32, DispatchedMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Lengths 0..300 cross the fold's 64-byte entry, its 16-byte tail and
+  // several 64-byte steps; starts 0..15 cover every misalignment of the
+  // 16-byte vector loads.
+  const std::vector<unsigned char> b = seeded_bytes(300 + 16, 7);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      for (const std::uint32_t state : {util::crc32_init(), 0x1234ABCDu}) {
+        ASSERT_EQ(util::crc32_update(state, b.data() + off, n),
+                  util::detail::crc32_update_bytewise(state, b.data() + off,
+                                                      n))
+            << "offset " << off << ", length " << n;
+      }
+    }
+  }
+}
+
+TEST(Crc32, DispatchedMatchesBytewiseOnOneMebibyte) {
+  const std::vector<unsigned char> b = seeded_bytes(std::size_t{1} << 20, 11);
+  EXPECT_EQ(util::crc32(b.data(), b.size()),
+            util::crc32_final(util::detail::crc32_update_bytewise(
+                util::crc32_init(), b.data(), b.size())));
+}
+
+TEST(Crc32, PiecewiseUpdatesEqualOneShot) {
+  const std::vector<unsigned char> b = seeded_bytes(20000, 13);
+  const std::uint32_t whole = util::crc32(b.data(), b.size());
+  // Piece sizes straddle every boundary of the dispatch: under the fold's
+  // minimum, at and around 16 and 64, and long runs.
+  const std::vector<std::size_t> pieces = {1,  15, 16,   63,  64, 65,
+                                           17, 3,  4096, 127, 0,  1000};
+  std::uint32_t state = util::crc32_init();
+  std::size_t at = 0;
+  for (std::size_t i = 0; at < b.size(); ++i) {
+    const std::size_t take = std::min(pieces[i % pieces.size()],
+                                      b.size() - at);
+    state = util::crc32_update(state, b.data() + at, take);
+    at += take;
+  }
+  EXPECT_EQ(util::crc32_final(state), whole);
+
+  // A seeded random split agrees too.
+  std::mt19937 gen(17);
+  std::uniform_int_distribution<std::size_t> len(0, 300);
+  state = util::crc32_init();
+  at = 0;
+  while (at < b.size()) {
+    const std::size_t take = std::min(len(gen), b.size() - at);
+    state = util::crc32_update(state, b.data() + at, take);
+    at += take;
+  }
+  EXPECT_EQ(util::crc32_final(state), whole);
+}
+
+TEST(Crc32, ZeroLengthUpdateIsIdentity) {
+  const unsigned char byte = 0x5A;
+  for (const std::uint32_t state : {0u, util::crc32_init(), 0xDEADBEEFu}) {
+    EXPECT_EQ(util::crc32_update(state, &byte, 0), state);
+    EXPECT_EQ(util::crc32_update(state, nullptr, 0), state);
+  }
+}
 
 }  // namespace
 }  // namespace dmtk

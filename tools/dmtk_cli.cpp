@@ -21,16 +21,21 @@
 /// Numeric arguments are parsed STRICTLY (util/parse.hpp): a malformed
 /// value (`--rank abc`, `--dims 10x-3x7`, `--density 2`) is a usage error
 /// (exit 1) with a message naming the flag, never a silent zero or wrap.
+/// Each subcommand accepts only its own flags: an unknown or retired one
+/// (`--bogus 1`, `--levels 1`) is a usage error naming it, not ignored.
 ///
 /// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <cstring>
+#include <initializer_list>
+#include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dmtk.hpp"
@@ -139,34 +144,51 @@ std::vector<index_t> parse_dims_or_die(const char* flag,
   return *dims;
 }
 
-/// Minimal --flag value parser; flags without '=' consume the next token.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first,
-                                               std::string* positional) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
+using Flags = std::map<std::string, std::string>;
+using FlagNames = std::initializer_list<std::string_view>;
+
+/// A subcommand's arguments: its --flags and up to `max_positionals` bare
+/// words, in order.
+struct Args {
+  Flags flags;
+  std::vector<std::string> positionals;
+
+  /// The i-th bare word, or "" when fewer were given.
+  [[nodiscard]] std::string pos(std::size_t i = 0) const {
+    return i < positionals.size() ? positionals[i] : std::string();
+  }
+};
+
+/// Parse argv[2..] for one subcommand. `valued` flags consume the next
+/// token, `switches` stand alone; any other --flag is a usage error naming
+/// it, so a mistyped or retired flag is never silently ignored.
+Args parse_args(int argc, char** argv, FlagNames valued, FlagNames switches,
+                std::size_t max_positionals = 1) {
+  const auto known = [](FlagNames names, std::string_view key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       const std::string key = a.substr(2);
-      // Boolean flags.
-      if (key == "nn" || key == "dimtree" || key == "linearize" ||
-          key == "resume" || key == "cpu" || key == "quick" || key == "json") {
-        flags.insert_or_assign(key, std::string("1"));
+      if (known(switches, key)) {
+        args.flags.insert_or_assign(key, std::string("1"));
+      } else if (!known(valued, key)) {
+        usage_error("unknown flag " + a + " for '" + argv[1] + "'");
       } else if (i + 1 < argc) {
-        flags.insert_or_assign(key, std::string(argv[++i]));
+        args.flags.insert_or_assign(key, std::string(argv[++i]));
       } else {
         usage();
       }
-    } else if (positional != nullptr && positional->empty()) {
-      *positional = a;
+    } else if (args.positionals.size() < max_positionals) {
+      args.positionals.push_back(a);
     } else {
       usage();
     }
   }
-  return flags;
+  return args;
 }
-
-using Flags = std::map<std::string, std::string>;
 
 /// Strict integer flag: default when absent, usage error on a malformed
 /// value or one below `min`.
@@ -246,8 +268,12 @@ void flag_load_wisdom(const Flags& f) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags =
+      parse_args(argc, argv,
+                 {"dims", "rank", "noise", "seed", "out", "precision",
+                  "density", "nnz"},
+                 {}, 0)
+          .flags;
   const std::string out = flag_str(flags, "out");
   const std::string dims_s = flag_str(flags, "dims");
   if (out.empty() || dims_s.empty()) usage();
@@ -337,8 +363,12 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_fmri(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags =
+      parse_args(argc, argv,
+                 {"time", "subjects", "regions", "rank", "noise", "seed",
+                  "out"},
+                 {"linearize"}, 0)
+          .flags;
   const std::string out = flag_str(flags, "out");
   if (out.empty()) usage();
   sim::FmriOptions fo;
@@ -408,8 +438,9 @@ int cmd_info_cpu(const Flags& flags) {
 }
 
 int cmd_info(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Args args = parse_args(argc, argv, {"wisdom"}, {"cpu"});
+  const Flags& flags = args.flags;
+  const std::string pos = args.pos();
   if (flags.count("cpu") != 0) {
     if (!pos.empty()) usage_error("info --cpu takes no tensor path");
     return cmd_info_cpu(flags);
@@ -447,9 +478,9 @@ int cmd_info(int argc, char** argv) {
 /// `dmtk tune`: run the measurement pass (src/tune/tuner.hpp) and persist
 /// the wisdom profile for --wisdom / DMTK_WISDOM.
 int cmd_tune(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
-  if (!pos.empty()) usage();
+  const Flags flags = parse_args(argc, argv, {"out", "threads", "trials"},
+                                 {"quick", "json"}, 0)
+                          .flags;
   tune::TuneOptions to;
   to.quick = flags.count("quick") != 0;
   to.threads = static_cast<int>(flag_int(flags, "threads", 0, 0));
@@ -471,7 +502,7 @@ int cmd_tune(int argc, char** argv) {
 
 /// Sparse decompose: .tns input through the plan layer (SparseCsf by
 /// default). The dense-only knobs are rejected loudly rather than ignored.
-int cmd_decompose_sparse(const std::string& pos, Flags& flags) {
+int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
   for (const char* dense_only : {"nn", "method", "dimtree"}) {
     if (flags.count(dense_only) != 0) {
       std::fprintf(stderr, "--%s needs a dense tensor (.dten input)\n",
@@ -628,8 +659,14 @@ int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
 }
 
 int cmd_decompose(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Args args = parse_args(
+      argc, argv,
+      {"rank", "iters", "tol", "seed", "threads", "out", "wisdom",
+       "precision", "accumulate", "sweep", "method", "checkpoint",
+       "checkpoint-every"},
+      {"nn", "dimtree", "resume"});
+  const Flags& flags = args.flags;
+  const std::string pos = args.pos();
   if (pos.empty()) usage();
   if (is_tns(pos)) return cmd_decompose_sparse(pos, flags);
   flag_load_wisdom(flags);  // before any plan/context is built
@@ -740,8 +777,9 @@ int cmd_decompose(int argc, char** argv) {
 }
 
 int cmd_tucker(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Args args = parse_args(argc, argv, {"ranks", "out-prefix"}, {});
+  const Flags& flags = args.flags;
+  const std::string pos = args.pos();
   const std::string ranks_s = flag_str(flags, "ranks");
   if (pos.empty() || ranks_s.empty()) usage();
   const Tensor X = io::read_tensor(pos);
@@ -772,9 +810,13 @@ void serve_signal_handler(int /*sig*/) {
 }
 
 int cmd_serve(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
-  if (!pos.empty()) usage();
+  const Flags flags =
+      parse_args(argc, argv,
+                 {"socket", "workers", "threads", "queue-depth",
+                  "queue-timeout-ms", "batch-window-ms", "max-batch",
+                  "cache-entries", "cache-mb", "wisdom"},
+                 {}, 0)
+          .flags;
   serve::ServeOptions so;
   so.socket = flag_str(flags, "socket");
   if (so.socket.empty()) usage_error("serve needs --socket <path>");
@@ -810,30 +852,15 @@ int cmd_serve(int argc, char** argv) {
 }
 
 int cmd_client(int argc, char** argv) {
-  // client takes an action word plus an optional tensor path — two
-  // positionals, so it parses its own argv (parse_flags allows one).
-  Flags flags;
-  std::string action;
-  std::string tensor;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key = a.substr(2);
-      if (key == "cold" || key == "inline" || key == "no-inline") {
-        flags.insert_or_assign(key, std::string("1"));
-      } else if (i + 1 < argc) {
-        flags.insert_or_assign(key, std::string(argv[++i]));
-      } else {
-        usage();
-      }
-    } else if (action.empty()) {
-      action = a;
-    } else if (tensor.empty()) {
-      tensor = a;
-    } else {
-      usage();
-    }
-  }
+  // An action word plus an optional tensor path: two positionals.
+  const Args args = parse_args(
+      argc, argv,
+      {"socket", "timeout-ms", "retries", "retry-base-ms", "json", "rank",
+       "seed", "precision", "out", "iters", "tol", "sweep", "method", "mode"},
+      {"cold", "inline", "no-inline"}, 2);
+  const Flags& flags = args.flags;
+  const std::string action = args.pos(0);
+  const std::string tensor = args.pos(1);
   const std::string socket = flag_str(flags, "socket");
   if (socket.empty()) usage_error("client needs --socket <path>");
   const int timeout_ms =
@@ -934,8 +961,9 @@ int cmd_client(int argc, char** argv) {
 }
 
 int cmd_export(int argc, char** argv) {
-  std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Args args = parse_args(argc, argv, {"out-prefix"}, {});
+  const Flags& flags = args.flags;
+  const std::string pos = args.pos();
   const std::string prefix = flag_str(flags, "out-prefix");
   if (pos.empty() || prefix.empty()) usage();
   const Ktensor K = io::read_ktensor(pos);
