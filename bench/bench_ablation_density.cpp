@@ -1,15 +1,16 @@
 /// \file bench_ablation_density.cpp
 /// Quantifies the paper's motivating claim: dense tensors deserve dense
-/// kernels. Since PR 4 every contender runs through the plan layer —
-/// dense 2-step via MttkrpPlan, sparse COO and CSF via SparseMttkrpPlan —
-/// so all sides enjoy planned dispatch, precomputed thread tiling, and
-/// heap-free arena execution, and the crossover is a kernel comparison
-/// rather than an allocation-strategy artifact. The bench sweeps the
-/// density of a fixed-shape tensor and reports where the dense kernel
-/// overtakes each sparse one, with an fp32-storage CSF column showing the
-/// bandwidth headroom of the float instantiation; --json writes the
-/// BENCH_*.json record and --check turns the run into a CSF/COO/dense
-/// (plus f32-vs-f64) equivalence gate (CI's bench-smoke uses it).
+/// kernels. Both contenders run through the plan layer — dense 2-step via
+/// MttkrpPlan, sparse CSF via SparseMttkrpPlan — so both sides enjoy
+/// planned dispatch, precomputed thread tiling, and heap-free arena
+/// execution, and the crossover is a kernel comparison rather than an
+/// allocation-strategy artifact. The bench sweeps the density of a
+/// fixed-shape tensor and reports where the dense kernel overtakes the
+/// sparse one, with an fp32-storage CSF column showing the bandwidth
+/// headroom of the float instantiation; --json writes the BENCH_*.json
+/// record and --check turns the run into an equivalence gate: CSF against
+/// the free COO sparse::mttkrp oracle and the dense plan, plus f32 vs f64
+/// (CI's bench-smoke uses it).
 
 #include <cmath>
 #include <cstdio>
@@ -30,7 +31,6 @@ struct Case {
   double density = 0.0;
   long long nnz = 0;
   double dense_s = 0.0;
-  double coo_s = 0.0;
   double csf_s = 0.0;
   double csf32_s = 0.0;  ///< fp32-storage CSF plan (fp64 accumulators)
 };
@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
         std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "bench-specific: --json <path>  write the BENCH_*.json record\n"
-          "                --check        verify CSF == COO == dense (and\n"
-          "                               f32 CSF vs f64 to fp32 rounding),\n"
-          "                               fail on divergence\n");
+          "                --check        verify CSF == COO oracle == dense\n"
+          "                               (and f32 CSF vs f64 to fp32\n"
+          "                               rounding), fail on divergence\n");
     } else if (std::strcmp(argv[i], "--json") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--json needs an output path\n");
@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
   std::printf("tensor %lld^3, C = %lld, threads = %d, dense method = %s\n",
               static_cast<long long>(d), static_cast<long long>(C), t,
               std::string(to_string(dense_plan.resolved_method())).c_str());
-  std::printf("%-10s %-12s %-13s %-13s %-13s %-13s %-11s\n", "density", "nnz",
-              "dense(s)", "coo-plan(s)", "csf-plan(s)", "csf-f32(s)",
-              "dense-wins");
-  bench::print_rule(90);
+  std::printf("%-10s %-12s %-13s %-13s %-13s %-11s\n", "density", "nnz",
+              "dense(s)", "csf-plan(s)", "csf-f32(s)", "dense-wins");
+  bench::print_rule(76);
 
   std::vector<Case> cases;
   int failures = 0;
@@ -101,9 +100,8 @@ int main(int argc, char** argv) {
     const sparse::SparseTensorF Sf = sparse::sparse_cast<float>(S);
     // Plan construction (CSF build included) is amortized setup, outside
     // the timed region — the ALS steady state this bench models.
-    SparseMttkrpPlan coo_plan(ctx, S, C, SparseMttkrpKernel::Coo);
-    SparseMttkrpPlan csf_plan(ctx, S, C, SparseMttkrpKernel::Csf);
-    SparseMttkrpPlanF csf32_plan(ctx, Sf, C, SparseMttkrpKernel::Csf);
+    SparseMttkrpPlan csf_plan(ctx, S, C);
+    SparseMttkrpPlanF csf32_plan(ctx, Sf, C);
 
     Matrix M(d, C);
     MatrixF M32(d, C);
@@ -111,21 +109,21 @@ int main(int argc, char** argv) {
     c.density = density;
     c.nnz = static_cast<long long>(S.nnz());
     c.dense_s = time_median(args.trials, [&] { dense_plan.execute(X, fs, M); });
-    c.coo_s = time_median(args.trials, [&] { coo_plan.execute(1, fs, M); });
     c.csf_s = time_median(args.trials, [&] { csf_plan.execute(1, fs, M); });
     c.csf32_s =
         time_median(args.trials, [&] { csf32_plan.execute(1, fsf, M32); });
     cases.push_back(c);
-    std::printf("%-10.3f %-12lld %-13.4f %-13.4f %-13.4f %-13.4f %-11s\n",
-                density, c.nnz, c.dense_s, c.coo_s, c.csf_s, c.csf32_s,
+    std::printf("%-10.3f %-12lld %-13.4f %-13.4f %-13.4f %-11s\n",
+                density, c.nnz, c.dense_s, c.csf_s, c.csf32_s,
                 c.dense_s < c.csf_s ? "yes" : "no");
 
     if (check) {
-      // The three paths must agree (the property suite checks this on
-      // small shapes; here it runs at bench scale as a smoke gate).
+      // The CSF plan must agree with the free COO oracle and the dense
+      // plan (the property suite checks this on small shapes; here it runs
+      // at bench scale as a smoke gate).
       Matrix Mcsf, Mcoo;
       csf_plan.execute(1, fs, Mcsf);
-      coo_plan.execute(1, fs, Mcoo);
+      sparse::mttkrp(S, fs, 1, Mcoo, t);
       dense_plan.execute(X, fs, M);
       csf32_plan.execute(1, fsf, M32);
       const double csf_vs_coo = Mcsf.max_abs_diff(Mcoo);
@@ -158,11 +156,11 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nexpected: sparse wins at very low density; the CSF plan beats the\n"
-      "COO plan wherever fibers repeat; dense takes over well below full\n"
-      "density — the regime the paper targets (dense data, e.g. fMRI\n"
-      "correlations, has density 1.0). The fp32 CSF column streams half\n"
-      "the value bytes per nonzero (accumulators stay fp64 either way).\n");
+      "\nexpected: sparse wins at very low density; dense takes over well\n"
+      "below full density — the regime the paper targets (dense data, e.g.\n"
+      "fMRI correlations, has density 1.0). The fp32 CSF column streams\n"
+      "half the value bytes per nonzero (accumulators stay fp64 either\n"
+      "way).\n");
   if (check) {
     std::printf("equivalence check: %s\n", failures == 0 ? "PASS" : "FAIL");
   }
@@ -175,7 +173,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"ablation_density_plans\",\n");
-    std::fprintf(f, "  \"schema\": 1,\n");
+    std::fprintf(f, "  \"schema\": 2,\n");
     std::fprintf(f, "  \"dim\": %lld,\n", static_cast<long long>(d));
     std::fprintf(f, "  \"rank\": %lld,\n", static_cast<long long>(C));
     std::fprintf(f, "  \"threads\": %d,\n", t);
@@ -191,10 +189,9 @@ int main(int argc, char** argv) {
       const Case& c = cases[i];
       std::fprintf(f,
                    "    {\"density\": %g, \"nnz\": %lld, \"dense_s\": %.6g, "
-                   "\"coo_plan_s\": %.6g, \"csf_plan_s\": %.6g, "
-                   "\"csf_f32_plan_s\": %.6g, "
+                   "\"csf_plan_s\": %.6g, \"csf_f32_plan_s\": %.6g, "
                    "\"dense_wins_vs_csf\": %s}%s\n",
-                   c.density, c.nnz, c.dense_s, c.coo_s, c.csf_s, c.csf32_s,
+                   c.density, c.nnz, c.dense_s, c.csf_s, c.csf32_s,
                    c.dense_s < c.csf_s ? "true" : "false",
                    i + 1 < cases.size() ? "," : "");
     }

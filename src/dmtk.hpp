@@ -17,10 +17,9 @@
 ///                           contractions across modes); per-node
 ///                           SweepTimings
 ///   dmtk::SparseMttkrpPlan  the sparse workload's plan: per-mode CSF
-///                           trees (or the COO kernel) built once, arena-
-///                           backed allocation-free execute(); drives
-///                           SweepScheme::SparseCsf / SparseCoo so sparse
-///                           CP-ALS shares the dense sweep loop
+///                           trees built once, arena-backed allocation-
+///                           free execute(); drives SweepScheme::SparseCsf
+///                           so sparse CP-ALS shares the dense sweep loop
 ///   dmtk::CpAlsOptions::exec  point drivers at a shared ExecContext
 ///   dmtk::CpAlsOptions::sweep_scheme  pick the sweep scheme per driver
 ///

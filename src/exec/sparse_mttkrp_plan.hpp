@@ -9,35 +9,27 @@
 /// MttkrpPlan does for dense ones: everything value-independent happens at
 /// construction, execute() is allocation-free from the context's arena.
 ///
-/// Two kernels share the plan:
-///
-///  - Csf (default): one mode-rooted CSF tree per mode (sparse/csf.hpp),
-///    built at construction — sort, additive duplicate merge, and fiber
-///    compression are plan-time costs amortized over the ALS sweeps.
-///    With the target mode at the root each root node owns one output row,
-///    so the precomputed per-thread root tiles write disjoint rows of M
-///    and no private outputs are needed; per-thread scratch is just
-///    order x rank fp64 accumulators from the arena.
-///
-///  - Coo: the SPLATT-style per-nonzero kernel (one fused Hadamard-
-///    accumulate per nonzero), with the thread-private I_n x C
-///    accumulators and the per-thread Hadamard row carved from the arena
-///    instead of heap-allocated per call. Bitwise-identical arithmetic to
-///    the free sparse::mttkrp at equal thread counts — the anchor that
-///    ties the plan layer to the retired ad-hoc driver.
+/// The kernel is CSF: one mode-rooted CSF tree per mode (sparse/csf.hpp),
+/// built at construction — sort, additive duplicate merge, and fiber
+/// compression are plan-time costs amortized over the ALS sweeps. With the
+/// target mode at the root each root node owns one output row, so the
+/// precomputed per-thread root tiles write disjoint rows of M and no
+/// private outputs are needed; per-thread scratch is just order x rank fp64
+/// accumulators from the arena. The free sparse::mttkrp (the per-nonzero
+/// COO kernel) stays outside the plan layer as the test oracle.
 ///
 /// The plan is templated on the storage scalar like the dense MttkrpPlanT;
 /// `SparseMttkrpPlan` / `SparseMttkrpPlanF` alias the double and float
-/// instantiations. Both kernels keep their accumulators in fp64 regardless
-/// of T — the fp32 plan halves the value/factor bytes streamed per nonzero
-/// (the bandwidth-bound part) while the per-row sums stay at the fp64
-/// floor, rounding once on the output store.
+/// instantiations. The accumulators stay in fp64 regardless of T — the
+/// fp32 plan halves the value/factor bytes streamed per nonzero (the
+/// bandwidth-bound part) while the per-row sums stay at the fp64 floor,
+/// rounding once on the output store.
 ///
-/// The plan BINDS the tensor at construction: the CSF copies snapshot X's
-/// values then, and the COO kernel reads the bound tensor live, so X must
-/// outlive the plan and must not be mutated between construction and the
-/// last execute(). (Factor matrices, as everywhere in the plan layer, are
-/// read at call time.)
+/// The CSF trees snapshot X's coordinates and values at construction, so
+/// the plan never reads X afterwards: X may be mutated or destroyed once
+/// the plan is built, and execute() keeps computing with the values X had
+/// then. (Factor matrices, as everywhere in the plan layer, are read at
+/// call time.)
 
 #include <span>
 #include <vector>
@@ -49,21 +41,15 @@
 
 namespace dmtk {
 
-/// Kernel selection for SparseMttkrpPlan. Auto resolves to Csf (the
-/// fiber-sharing kernel); Coo is kept as the plan-layer form of the
-/// original per-nonzero kernel for ablations and equivalence anchors.
-enum class SparseMttkrpKernel { Auto, Csf, Coo };
-
 template <typename T>
 class SparseMttkrpPlanT {
  public:
-  /// Plan all N per-mode MTTKRPs of X at rank `rank`. Context and tensor
-  /// references are retained; both must outlive the plan.
+  /// Plan all N per-mode MTTKRPs of X at rank `rank`. The context
+  /// reference is retained and must outlive the plan; X is not.
   SparseMttkrpPlanT(const ExecContext& ctx, const sparse::SparseTensorT<T>& X,
-                    index_t rank,
-                    SparseMttkrpKernel kernel = SparseMttkrpKernel::Auto);
+                    index_t rank);
 
-  /// Run the planned mode-`mode` MTTKRP of the bound tensor against
+  /// Run the planned mode-`mode` MTTKRP of the snapshotted tensor against
   /// `factors` into M (resized on shape mismatch; allocation-free when the
   /// caller keeps M across calls, the ALS pattern).
   void execute(index_t mode, std::span<const MatrixT<T>> factors,
@@ -71,24 +57,16 @@ class SparseMttkrpPlanT {
 
   [[nodiscard]] std::span<const index_t> dims() const { return dims_; }
   [[nodiscard]] index_t rank() const { return rank_; }
-  /// Nonzeros of the bound tensor (before duplicate merging).
+  /// Nonzeros of the planned tensor (before duplicate merging).
   [[nodiscard]] index_t nnz() const { return nnz_; }
   [[nodiscard]] int threads() const { return nt_; }
-  /// The kernel the caller asked for (possibly Auto).
-  [[nodiscard]] SparseMttkrpKernel requested_kernel() const {
-    return requested_;
-  }
-  /// What execute() actually runs (never Auto).
-  [[nodiscard]] SparseMttkrpKernel kernel() const { return kernel_; }
   /// Arena bytes one execute() draws (already reserved in the context).
   /// The workspace holds fp64 accumulators for either scalar.
   [[nodiscard]] std::size_t workspace_bytes() const {
     return ws_doubles_ * sizeof(double);
   }
-  /// The tensor the plan was built against.
-  [[nodiscard]] const sparse::SparseTensorT<T>& tensor() const { return *X_; }
-  /// Csf kernel only: the mode-rooted CSF built for `mode` (tests and
-  /// structure inspection).
+  /// The mode-rooted CSF built for `mode` (tests and structure
+  /// inspection).
   [[nodiscard]] const sparse::CsfTensorT<T>& csf(index_t mode) const;
 
   /// Wall seconds accumulated over every execute() since construction.
@@ -96,30 +74,16 @@ class SparseMttkrpPlanT {
   void reset_timings() { total_seconds_ = 0.0; }
 
  private:
-  void exec_csf(index_t mode, std::span<const MatrixT<T>> factors,
-                MatrixT<T>& M, double* base);
-  void exec_coo(index_t mode, std::span<const MatrixT<T>> factors,
-                MatrixT<T>& M, double* base);
-
   const ExecContext* ctx_;
-  const sparse::SparseTensorT<T>* X_;
   std::vector<index_t> dims_;
   index_t rank_ = 0;
   index_t nnz_ = 0;
   int nt_ = 1;
-  SparseMttkrpKernel requested_ = SparseMttkrpKernel::Auto;
-  SparseMttkrpKernel kernel_ = SparseMttkrpKernel::Csf;
 
-  // Csf state: per-mode trees and the per-thread root tiles.
+  // Per-mode trees and the per-thread root tiles.
   std::vector<sparse::CsfTensorT<T>> csf_;
   std::vector<std::vector<Range>> tiles_;  // [mode][thread]
   std::size_t stride_scratch_ = 0;         // per-thread CSF scratch
-
-  // Coo state.
-  std::size_t stride_partial_ = 0;  // per-thread In x C private output
-  std::size_t off_row_ = 0;         // nt Hadamard rows after the partials
-  std::size_t stride_row_ = 0;
-
   std::size_t ws_doubles_ = 0;  // fp64 accumulator slots, either scalar
   double total_seconds_ = 0.0;
 };

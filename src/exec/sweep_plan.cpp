@@ -17,7 +17,6 @@ std::string_view to_string(SweepScheme s) {
     case SweepScheme::PerMode: return "permode";
     case SweepScheme::DimTree: return "dimtree";
     case SweepScheme::SparseCsf: return "csf";
-    case SweepScheme::SparseCoo: return "coo";
   }
   return "?";
 }
@@ -27,7 +26,6 @@ std::optional<SweepScheme> parse_sweep_scheme(std::string_view name) {
   if (name == "permode" || name == "per-mode") return SweepScheme::PerMode;
   if (name == "dimtree" || name == "dim-tree") return SweepScheme::DimTree;
   if (name == "csf" || name == "sparse-csf") return SweepScheme::SparseCsf;
-  if (name == "coo" || name == "sparse-coo") return SweepScheme::SparseCoo;
   return std::nullopt;
 }
 
@@ -139,14 +137,10 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
   // resolve_sweep_scheme never applies here (and dense schemes are
   // rejected — a sparse tensor has no dense matricization to sweep).
   scheme_ = resolve_sparse_sweep_scheme(scheme);
-  DMTK_CHECK(
-      scheme_ == SweepScheme::SparseCsf || scheme_ == SweepScheme::SparseCoo,
-      "sweep plan: dense scheme requested for a sparse tensor — use "
-      "SweepScheme::SparseCsf / SparseCoo (or Auto)");
-  sparse_plan_ = std::make_unique<SparseMttkrpPlanT<T>>(
-      ctx, X, rank,
-      scheme_ == SweepScheme::SparseCsf ? SparseMttkrpKernel::Csf
-                                        : SparseMttkrpKernel::Coo);
+  DMTK_CHECK(scheme_ == SweepScheme::SparseCsf,
+             "sweep plan: dense scheme requested for a sparse tensor — use "
+             "SweepScheme::SparseCsf (or Auto)");
+  sparse_plan_ = std::make_unique<SparseMttkrpPlanT<T>>(ctx, X, rank);
   sparse_ws_bytes_ = sparse_plan_->workspace_bytes();
   timings_.nodes.reserve(static_cast<std::size_t>(N));
   for (index_t n = 0; n < N; ++n) {
@@ -312,8 +306,8 @@ void CpAlsSweepPlanT<T>::begin_sweep(const sparse::SparseTensorT<T>& X) {
     DMTK_CHECK(X.dim(n) == dims_[static_cast<std::size_t>(n)],
                "sweep plan: tensor extents differ from the planned shape");
   }
-  // The sparse plan bound its tensor at construction; a different nonzero
-  // count here means the caller swapped tensors under the plan.
+  // The sparse plan snapshotted its tensor at construction; a different
+  // nonzero count here means the caller swapped tensors under the plan.
   DMTK_CHECK(X.nnz() == sparse_plan_->nnz(),
              "sweep plan: sparse tensor differs from the one planned for");
   next_mode_ = 0;

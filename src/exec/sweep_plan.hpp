@@ -8,7 +8,7 @@
 /// against an ExecContext and then serves one MTTKRP per mode per sweep,
 /// allocation-free from the context's arena. Dense tensors pick between
 /// PerMode and DimTree; sparse tensors (the second constructor) run the
-/// SparseCsf / SparseCoo schemes through a SparseMttkrpPlan
+/// SparseCsf scheme through a SparseMttkrpPlan
 /// (exec/sparse_mttkrp_plan.hpp) behind the same begin_sweep/mode_mttkrp
 /// protocol, which is what lets detail::run_als_sweeps drive sparse
 /// CP-ALS through the exact same sweep loop. The dense schemes:
@@ -58,7 +58,7 @@
 ///
 /// Templated on the scalar type like MttkrpPlan (`CpAlsSweepPlan` = the
 /// double instantiation). The sparse schemes follow the scalar too: a
-/// CpAlsSweepPlanF built on a SparseTensorF runs the fp32 CSF/COO kernels
+/// CpAlsSweepPlanF built on a SparseTensorF runs the fp32 CSF kernel
 /// (fp64 accumulators, half the streamed bytes per nonzero).
 
 #include <cstdint>
@@ -93,16 +93,17 @@ namespace tune {
 
 /// How a CP-ALS driver produces the per-mode MTTKRPs of a sweep. PerMode
 /// and DimTree serve dense tensors; SparseCsf (the mode-rooted CSF kernel)
-/// and SparseCoo (the per-nonzero kernel through the plan layer) serve
-/// sparse ones — a plan built for one input kind rejects schemes of the
-/// other, so a dense tensor is never silently run through a sparse kernel
-/// or vice versa. Auto resolves per input kind (see resolve_sweep_scheme).
-enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
+/// serves sparse ones — a plan built for one input kind rejects schemes of
+/// the other, so a dense tensor is never silently run through a sparse
+/// kernel or vice versa. Auto resolves per input kind (see
+/// resolve_sweep_scheme). The integer values are part of the checkpoint
+/// options hash (detail::cp_als_options_hash), so they never change.
+enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf };
 
 [[nodiscard]] std::string_view to_string(SweepScheme s);
 
-/// Parse "auto" | "permode" | "dimtree" | "csf" | "coo" (aliases:
-/// "per-mode", "dim-tree", "sparse-csf", "sparse-coo"). Returns nullopt
+/// Parse "auto" | "permode" | "dimtree" | "csf" (aliases: "per-mode",
+/// "dim-tree", "sparse-csf"). Returns nullopt
 /// for unknown names — shared by the CLI and benches.
 [[nodiscard]] std::optional<SweepScheme> parse_sweep_scheme(
     std::string_view name);
@@ -180,11 +181,11 @@ class CpAlsSweepPlanT {
                   index_t rank, SweepScheme scheme = SweepScheme::Auto,
                   MttkrpMethod method = MttkrpMethod::Auto);
 
-  /// Plan sparse sweeps: Auto resolves to SparseCsf; only SparseCsf /
-  /// SparseCoo are accepted (a dense scheme on sparse input throws, like a
-  /// sparse scheme on the dense constructor). The SparseMttkrpPlan built
-  /// here BINDS X — CSF construction happens now — so X must outlive the
-  /// plan and keep its values (see exec/sparse_mttkrp_plan.hpp). Both
+  /// Plan sparse sweeps: Auto resolves to SparseCsf, the only sparse
+  /// scheme (a dense scheme on sparse input throws, like a sparse scheme on
+  /// the dense constructor). The SparseMttkrpPlan built here snapshots X's
+  /// values into its CSF trees now; later sweeps compute with those values
+  /// (see exec/sparse_mttkrp_plan.hpp). Both
   /// scalars are supported: the float instantiation takes a SparseTensorF
   /// and runs the fp32 kernels with fp64 accumulation.
   CpAlsSweepPlanT(const ExecContext& ctx, const sparse::SparseTensorT<T>& X,
@@ -196,7 +197,7 @@ class CpAlsSweepPlanT {
   /// in. X must have the planned extents.
   void begin_sweep(const TensorT<T>& X);
 
-  /// Start a sweep over the bound sparse tensor; X must match the planned
+  /// Start a sweep over the planned sparse tensor; X must match the planned
   /// shape and nonzero count (sparse schemes only).
   void begin_sweep(const sparse::SparseTensorT<T>& X);
 
@@ -229,10 +230,9 @@ class CpAlsSweepPlanT {
     return sparse_ws_bytes_ > 0 ? sparse_ws_bytes_ : ws_elems_ * sizeof(T);
   }
 
-  /// True for the SparseCsf / SparseCoo schemes.
+  /// True for the SparseCsf scheme.
   [[nodiscard]] bool is_sparse() const {
-    return scheme_ == SweepScheme::SparseCsf ||
-           scheme_ == SweepScheme::SparseCoo;
+    return scheme_ == SweepScheme::SparseCsf;
   }
   /// Sparse schemes only: the underlying per-mode sparse plan.
   [[nodiscard]] const SparseMttkrpPlanT<T>& sparse_plan() const;
@@ -314,7 +314,7 @@ class CpAlsSweepPlanT {
   // PerMode state.
   std::vector<MttkrpPlanT<T>> mode_plans_;
 
-  // Sparse state (SparseCsf / SparseCoo; scalar follows the plan's T).
+  // Sparse state (SparseCsf; scalar follows the plan's T).
   std::unique_ptr<SparseMttkrpPlanT<T>> sparse_plan_;
   std::size_t sparse_ws_bytes_ = 0;
 

@@ -371,7 +371,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
     }
     if (r.sweep == SweepScheme::PerMode || r.sweep == SweepScheme::DimTree) {
       invalid("sweep scheme \"" + std::string(dmtk::to_string(r.sweep)) +
-              "\" is dense-only; .tns input takes auto/csf/coo");
+              "\" is dense-only; .tns input takes auto/csf");
     }
     if (r.method != MttkrpMethod::Auto) {
       invalid("\"method\" selects dense per-mode kernels; sparse input "
@@ -382,10 +382,10 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
     }
     job.dense = false;
     job.req = std::move(r);
-    return job;  // sparse jobs never batch (plans bind the tensor)
+    return job;  // sparse jobs never batch (plans snapshot the tensor)
   }
 
-  if (r.sweep == SweepScheme::SparseCsf || r.sweep == SweepScheme::SparseCoo) {
+  if (r.sweep == SweepScheme::SparseCsf) {
     invalid("sweep scheme \"" + std::string(dmtk::to_string(r.sweep)) +
             "\" needs sparse (.tns) input");
   }

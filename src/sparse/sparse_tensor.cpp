@@ -201,8 +201,8 @@ CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
   const int nt = ctx.threads();
 
   // One sweep plan for the whole factorization: CSF construction (sort +
-  // additive duplicate merge + fiber compression) or the COO workspace
-  // layout happens here, once; the sweeps below run heap-free.
+  // additive duplicate merge + fiber compression) happens here, once; the
+  // sweeps below run heap-free.
   CpAlsSweepPlanT<T> sweep(ctx, X, C, opts.sweep_scheme);
 
   CpAlsResultT<T> result;

@@ -9,7 +9,7 @@
 /// (one fused Hadamard-accumulate per nonzero, thread-private outputs +
 /// reduction — kept as the independent reference oracle), and the sparse
 /// cp_als entry point. The driver itself runs through the plan layer: a
-/// CpAlsSweepPlan with SweepScheme::SparseCsf (or SparseCoo) built on a
+/// CpAlsSweepPlan with SweepScheme::SparseCsf built on a
 /// SparseMttkrpPlan (exec/sparse_mttkrp_plan.hpp), sharing the exact
 /// grams/fit/stopping sweep loop of the dense drivers and executing
 /// allocation-free from the context's arena once planned.
@@ -20,7 +20,7 @@
 /// Like the dense core, the container is templated on the scalar type:
 /// `SparseTensorT<float>` halves the bytes per nonzero the COO/CSF kernels
 /// stream, which is exactly where a bandwidth-bound MTTKRP spends its time.
-/// Both kernels accumulate in double regardless of the storage scalar, so
+/// Both accumulate in double regardless of the storage scalar, so
 /// the fp32 path keeps the fp64 accumulation floor while moving half the
 /// data. `SparseTensor` / `SparseTensorF` alias the two instantiations.
 
@@ -150,10 +150,9 @@ extern template void mttkrp<float>(const SparseTensorT<float>&,
 /// CP-ALS over a sparse tensor; identical driver semantics to the dense
 /// dmtk::cp_als (initialization, normalization, solve, fit, stopping —
 /// literally the same detail::run_als_sweeps loop). The sweep's MTTKRPs
-/// come from a CpAlsSweepPlan built on opts.sweep_scheme: Auto resolves
-/// to SparseCsf; SparseCoo runs the plan-layer COO kernel (bitwise-equal
-/// to the historical ad-hoc driver at equal thread counts); the dense
-/// schemes are rejected. Both scalars are supported (the fp32 sweep keeps
+/// come from a CpAlsSweepPlan built on opts.sweep_scheme: Auto and
+/// SparseCsf run the plan-layer CSF kernel; the dense schemes are
+/// rejected. Both scalars are supported (the fp32 sweep keeps
 /// fp64 accumulation in the kernels). opts.method and opts.mttkrp_override
 /// are dense-only (the latter throws here); opts.exec shares the arena.
 template <typename T>

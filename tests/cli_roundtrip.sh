@@ -88,18 +88,23 @@ fi
 # --- sparse precision handling ---------------------------------------------
 expect_ok "${dmtk}" generate --dims 20x18x16 --nnz 200 --seed 5 \
   --out "${work}/s.tns"
-# Sparse fp32 runs through both plan-layer kernels and writes a native f32
-# model (the kernels keep fp64 accumulators either way).
+# Sparse fp32 runs through the plan-layer CSF kernel and writes a native
+# f32 model (the kernel keeps fp64 accumulators either way).
 expect_grep "fp32" "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
   --precision float --sweep csf --out "${work}/ms32.dktn"
-expect_grep "coo sweep, fp32" "${dmtk}" decompose "${work}/s.tns" --rank 2 \
-  --iters 3 --precision float --sweep coo
+# CSF is the only sparse kernel: the retired COO scheme names are unknown.
+for retired in coo sparse-coo; do
+  expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
+    --sweep "${retired}"
+  expect_grep "unknown sweep scheme '${retired}'" "${dmtk}" decompose \
+    "${work}/s.tns" --rank 2 --iters 3 --sweep "${retired}"
+done
 expect_ok "${dmtk}" export "${work}/ms32.dktn" --out-prefix "${work}/s32"
 [[ -f "${work}/s32_mode0.csv" ]] || { echo "FAIL: missing sparse f32 CSV"; fails=$((fails + 1)); }
 # Spelling out the default is harmless.
 expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
   --precision double
-# The sparse kernels accumulate in fp64 unconditionally, so the dense
+# The sparse kernel accumulates in fp64 unconditionally, so the dense
 # accumulate knob is refused rather than silently accepted.
 expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
   --precision float --accumulate double
@@ -129,6 +134,10 @@ expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
   --iters 2 --bogus 1
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
   --iters 2 --levels 1
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 2 --dimtree
+expect_grep "unknown flag --dimtree" "${dmtk}" decompose "${work}/x64.dten" \
+  --rank 3 --iters 2 --dimtree
 expect_grep "unknown flag --bogus" "${dmtk}" decompose "${work}/x64.dten" \
   --rank 3 --iters 2 --bogus 1
 expect_usage_error "${dmtk}" generate --dims 8x8 --ranks 3 \

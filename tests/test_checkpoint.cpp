@@ -19,6 +19,7 @@
 #include "core/tensor.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
+#include "sparse/sparse_tensor.hpp"
 #include "util/rng.hpp"
 
 namespace dmtk {
@@ -139,7 +140,9 @@ TEST_F(CheckpointTest, OptionsHashMismatchRefusesToResume) {
 TEST_F(CheckpointTest, OptionsHashIsStableAcrossReleases) {
   // Checkpoints on disk are bound to these values: a change to the hash
   // (a field added, dropped or reordered) would make every existing
-  // checkpoint refuse to resume. Pinned for two fixed configurations.
+  // checkpoint refuse to resume. Pinned for three fixed configurations,
+  // one of them sparse: the SweepScheme integer values are mixed in, so
+  // renumbering the enum would also break resumes.
   CpAlsOptions o;
   o.rank = 3;
   EXPECT_EQ(detail::cp_als_options_hash(Tensor({4, 5, 6}), o, 2),
@@ -151,6 +154,13 @@ TEST_F(CheckpointTest, OptionsHashIsStableAcrossReleases) {
   of.sweep_scheme = SweepScheme::DimTree;
   EXPECT_EQ(detail::cp_als_options_hash(TensorF({3, 4, 2, 5}), of, 4),
             4691776088949677921ull);
+  CpAlsOptions os;
+  os.rank = 4;
+  os.seed = 11;
+  os.sweep_scheme = SweepScheme::SparseCsf;
+  EXPECT_EQ(
+      detail::cp_als_options_hash(sparse::SparseTensor({6, 5, 4}), os, 3),
+      18018741317555798434ull);
 }
 
 TEST_F(CheckpointTest, CheckpointCadenceFollowsCheckpointEvery) {

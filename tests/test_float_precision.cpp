@@ -13,8 +13,8 @@
 //  - the byte-based workspace sizing: a float plan's arena footprint is at
 //    most the double plan's (the bandwidth economy the scalar templating
 //    exists for);
-//  - the sparse CSF/COO kernels' float instantiations track the double
-//    ones to fp32 rounding (both accumulate in fp64, so the only fp32
+//  - the sparse CSF plan's and free COO kernel's float instantiations
+//    track the double ones to fp32 rounding (both accumulate in fp64, so the only fp32
 //    error is input/output rounding), sparse cp_als<float> lands within
 //    typed tolerance of the double fit, and the sparse float sweep is
 //    allocation-free like the dense one;
@@ -272,7 +272,7 @@ TEST(FloatZeroAlloc, FloatPlanFootprintIsAtMostTheDoubleOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse fp32: the float instantiation of the CSF/COO kernels and sweep.
+// Sparse fp32: the float CSF plan, the free COO kernel, and the sweep.
 // ---------------------------------------------------------------------------
 
 // The dense (dims-only) constructor still rejects sparse schemes for
@@ -297,64 +297,54 @@ TEST(FloatSparseMttkrp, FloatKernelsTrackDoubleWithinFp32Rounding) {
 
   ExecContext ctx_d(2);
   ExecContext ctx_f(2);
-  for (SparseMttkrpKernel k :
-       {SparseMttkrpKernel::Csf, SparseMttkrpKernel::Coo}) {
-    SparseMttkrpPlan pd(ctx_d, Sd, rank, k);
-    SparseMttkrpPlanF pf(ctx_f, Sf, rank, k);
-    Matrix Md;
-    MatrixF Mf;
-    for (index_t mode = 0; mode < Sd.order(); ++mode) {
-      pd.execute(mode, fsd, Md);
-      pf.execute(mode, fsf, Mf);
-      SCOPED_TRACE(std::string("kernel=") +
-                   (k == SparseMttkrpKernel::Csf ? "csf" : "coo") +
-                   " mode=" + std::to_string(mode));
-      // Both scalars accumulate in fp64, so the float run differs from
-      // the double one only by the fp32 rounding of inputs and outputs.
-      testing::expect_matrix_near(matrix_cast<double>(Mf), Md,
-                                  testing::eps_tol<float>(100.0));
-    }
-  }
-  // The free COO function agrees too (the one-shot reference path).
+  SparseMttkrpPlan pd(ctx_d, Sd, rank);
+  SparseMttkrpPlanF pf(ctx_f, Sf, rank);
   Matrix Md;
   MatrixF Mf;
+  for (index_t mode = 0; mode < Sd.order(); ++mode) {
+    pd.execute(mode, fsd, Md);
+    pf.execute(mode, fsf, Mf);
+    SCOPED_TRACE("mode=" + std::to_string(mode));
+    // Both scalars accumulate in fp64, so the float run differs from the
+    // double one only by the fp32 rounding of inputs and outputs.
+    testing::expect_matrix_near(matrix_cast<double>(Mf), Md,
+                                testing::eps_tol<float>(100.0));
+  }
+  // The free COO function agrees too (the one-shot reference path).
   sparse::mttkrp(Sd, fsd, 1, Md);
   sparse::mttkrp(Sf, fsf, 1, Mf);
   testing::expect_matrix_near(matrix_cast<double>(Mf), Md,
                               testing::eps_tol<float>(100.0));
 }
 
-TEST(FloatSparseCpAls, FitTracksDoubleForBothSchemes) {
+TEST(FloatSparseCpAls, FitTracksDoubleForCsfScheme) {
   const std::vector<index_t> dims{10, 9, 8};
   Rng rng(17);
   const sparse::SparseTensor Sd = sparse::SparseTensor::random(dims, 260, rng);
   const sparse::SparseTensorF Sf = sparse::sparse_cast<float>(Sd);
 
-  for (SweepScheme scheme : {SweepScheme::SparseCsf, SweepScheme::SparseCoo}) {
-    CpAlsOptions od;
-    od.rank = 3;
-    od.max_iters = 25;
-    od.tol = 0.0;  // fixed sweep count: compare like against like
-    od.seed = 5;
-    od.sweep_scheme = scheme;
-    CpAlsOptionsF of;
-    of.rank = 3;
-    of.max_iters = 25;
-    of.tol = 0.0;
-    of.seed = 5;
-    of.sweep_scheme = scheme;
+  CpAlsOptions od;
+  od.rank = 3;
+  od.max_iters = 25;
+  od.tol = 0.0;  // fixed sweep count: compare like against like
+  od.seed = 5;
+  od.sweep_scheme = SweepScheme::SparseCsf;
+  CpAlsOptionsF of;
+  of.rank = 3;
+  of.max_iters = 25;
+  of.tol = 0.0;
+  of.seed = 5;
+  of.sweep_scheme = SweepScheme::SparseCsf;
 
-    const CpAlsResult rd = sparse::cp_als(Sd, od);
-    const CpAlsResultF rf = sparse::cp_als(Sf, of);
-    SCOPED_TRACE(std::string("scheme=") + std::string(to_string(scheme)));
-    EXPECT_TRUE(std::isfinite(rf.final_fit));
-    EXPECT_EQ(rf.iterations, rd.iterations);
-    // fp64 accumulation keeps the sparse fp32 sweep glued to the double
-    // trajectory; the fit gap is fp32 Gram/solve noise only.
-    EXPECT_NEAR(rf.final_fit, rd.final_fit, 5e-3);
-    EXPECT_GT(factor_match_score(ktensor_cast<double>(rf.model), rd.model),
-              0.95);
-  }
+  const CpAlsResult rd = sparse::cp_als(Sd, od);
+  const CpAlsResultF rf = sparse::cp_als(Sf, of);
+  EXPECT_TRUE(std::isfinite(rf.final_fit));
+  EXPECT_EQ(rf.iterations, rd.iterations);
+  // fp64 accumulation keeps the sparse fp32 sweep glued to the double
+  // trajectory; the fit gap is fp32 Gram/solve noise only.
+  EXPECT_NEAR(rf.final_fit, rd.final_fit, 5e-3);
+  EXPECT_GT(factor_match_score(ktensor_cast<double>(rf.model), rd.model),
+            0.95);
 }
 
 TEST(FloatSparseZeroAlloc, FloatSparseSweepsDrawOnlyFromTheArena) {

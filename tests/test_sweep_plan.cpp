@@ -161,8 +161,8 @@ TEST(SweepSchemeAuto, HeuristicPicksDimTreeForHighOrderDenseOnly) {
   // The sparse resolver: Auto -> CSF, explicit schemes pass through.
   EXPECT_EQ(resolve_sparse_sweep_scheme(SweepScheme::Auto),
             SweepScheme::SparseCsf);
-  EXPECT_EQ(resolve_sparse_sweep_scheme(SweepScheme::SparseCoo),
-            SweepScheme::SparseCoo);
+  EXPECT_EQ(resolve_sparse_sweep_scheme(SweepScheme::SparseCsf),
+            SweepScheme::SparseCsf);
   // Explicit requests pass through untouched at any order.
   for (index_t order : {index_t{2}, index_t{5}}) {
     EXPECT_EQ(resolve_sweep_scheme(SweepScheme::PerMode, order),
@@ -424,7 +424,7 @@ TEST(SweepBalancedSplit, BalancesGroups) {
 TEST(SweepSchemeParse, RoundTripsAndAliases) {
   for (SweepScheme s :
        {SweepScheme::Auto, SweepScheme::PerMode, SweepScheme::DimTree,
-        SweepScheme::SparseCsf, SweepScheme::SparseCoo}) {
+        SweepScheme::SparseCsf}) {
     const auto parsed = parse_sweep_scheme(to_string(s));
     ASSERT_TRUE(parsed.has_value()) << to_string(s);
     EXPECT_EQ(*parsed, s);
@@ -433,8 +433,9 @@ TEST(SweepSchemeParse, RoundTripsAndAliases) {
   EXPECT_EQ(parse_sweep_scheme("dim-tree"), SweepScheme::DimTree);
   EXPECT_EQ(parse_sweep_scheme("csf"), SweepScheme::SparseCsf);
   EXPECT_EQ(parse_sweep_scheme("sparse-csf"), SweepScheme::SparseCsf);
-  EXPECT_EQ(parse_sweep_scheme("coo"), SweepScheme::SparseCoo);
-  EXPECT_EQ(parse_sweep_scheme("sparse-coo"), SweepScheme::SparseCoo);
+  // The retired per-nonzero plan kernel's names are unknown now.
+  EXPECT_FALSE(parse_sweep_scheme("coo").has_value());
+  EXPECT_FALSE(parse_sweep_scheme("sparse-coo").has_value());
   EXPECT_FALSE(parse_sweep_scheme("").has_value());
   EXPECT_FALSE(parse_sweep_scheme("tree").has_value());
 }

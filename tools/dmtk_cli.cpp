@@ -7,7 +7,7 @@
 ///   dmtk generate  --dims 500x400x300 --density 1e-4 --out x.tns  (sparse)
 ///   dmtk fmri      --time 225 --subjects 59 --regions 200 --out x.dten
 ///   dmtk info      x.dten            (or x.tns)
-///   dmtk decompose x.dten --rank 10 [--nn] [--dimtree] --out model.dktn
+///   dmtk decompose x.dten --rank 10 [--nn] [--sweep dimtree] --out m.dktn
 ///   dmtk decompose x.dten --rank 10 --precision float   (fp32 CP-ALS)
 ///   dmtk decompose x.tns  --rank 10 --sweep csf       (sparse, CSF plan)
 ///   dmtk tucker    x.dten --ranks 8x8x8 --out-prefix model
@@ -73,7 +73,7 @@ using namespace dmtk;
       "             --json prints the full measurement report)\n"
       "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
       "            [--precision double|float] [--accumulate double|float]\n"
-      "            [--sweep permode|dimtree|auto] [--dimtree]\n"
+      "            [--sweep permode|dimtree|auto]\n"
       "            [--method reference|reorder|1-step-seq|1-step|2-step|auto]\n"
       "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
@@ -81,7 +81,6 @@ using namespace dmtk;
       "             n sweeps (atomic rename + CRC); --resume restarts an\n"
       "             interrupted run from it, bit-identical to uninterrupted)\n"
       "            (--sweep dimtree shares partial MTTKRPs across modes;\n"
-      "             --dimtree is the legacy alias for --sweep dimtree;\n"
       "             auto picks dimtree for 4-way-and-up tensors;\n"
       "             --precision float runs the whole ALS pipeline in fp32 —\n"
       "             half the memory bandwidth, fit accurate to ~1e-4;\n"
@@ -92,7 +91,7 @@ using namespace dmtk;
       "            (--wisdom loads a tuned profile STRICTLY: a missing,\n"
       "             corrupt, or other-CPU profile aborts the run; the\n"
       "             DMTK_WISDOM env autoloads leniently instead)\n"
-      "  decompose <tensor.tns> --rank R [--sweep csf|coo|auto] [--wisdom F]\n"
+      "  decompose <tensor.tns> --rank R [--sweep csf|auto] [--wisdom F]\n"
       "            [--precision double|float]\n"
       "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
@@ -503,20 +502,20 @@ int cmd_tune(int argc, char** argv) {
 /// Sparse decompose: .tns input through the plan layer (SparseCsf by
 /// default). The dense-only knobs are rejected loudly rather than ignored.
 int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
-  for (const char* dense_only : {"nn", "method", "dimtree"}) {
+  for (const char* dense_only : {"nn", "method"}) {
     if (flags.count(dense_only) != 0) {
       std::fprintf(stderr, "--%s needs a dense tensor (.dten input)\n",
                    dense_only);
       return 1;
     }
   }
-  // Both sparse kernels accumulate in fp64 for either storage scalar, so
+  // The CSF kernel accumulates in fp64 for either storage scalar, so
   // --accumulate has nothing to select here; rejecting beats silently
   // accepting a knob that cannot change the arithmetic.
   if (flags.count("accumulate") != 0) {
     std::fprintf(stderr,
-                 "--accumulate is dense-only: the sparse CSF/COO kernels "
-                 "always accumulate in fp64\n");
+                 "--accumulate is dense-only: the sparse CSF kernel "
+                 "always accumulates in fp64\n");
     return 1;
   }
   const bool f32 = flag_wants_f32(flags);
@@ -556,10 +555,9 @@ int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
       std::fprintf(stderr, "unknown sweep scheme '%s'\n", sweep_s.c_str());
       return 1;
     }
-    if (*s != SweepScheme::Auto && *s != SweepScheme::SparseCsf &&
-        *s != SweepScheme::SparseCoo) {
+    if (*s != SweepScheme::Auto && *s != SweepScheme::SparseCsf) {
       std::fprintf(stderr, "--sweep %s needs a dense tensor; sparse input "
-                   "takes csf, coo, or auto\n", sweep_s.c_str());
+                   "takes csf or auto\n", sweep_s.c_str());
       return 1;
     }
     opts.sweep_scheme = *s;
@@ -664,7 +662,7 @@ int cmd_decompose(int argc, char** argv) {
       {"rank", "iters", "tol", "seed", "threads", "out", "wisdom",
        "precision", "accumulate", "sweep", "method", "checkpoint",
        "checkpoint-every"},
-      {"nn", "dimtree", "resume"});
+      {"nn", "resume"});
   const Flags& flags = args.flags;
   const std::string pos = args.pos();
   if (pos.empty()) usage();
@@ -700,22 +698,12 @@ int cmd_decompose(int argc, char** argv) {
       std::fprintf(stderr, "unknown sweep scheme '%s'\n", sweep_s.c_str());
       return 1;
     }
-    if (*s == SweepScheme::SparseCsf || *s == SweepScheme::SparseCoo) {
+    if (*s == SweepScheme::SparseCsf) {
       std::fprintf(stderr, "--sweep %s needs a sparse tensor (.tns input)\n",
                    sweep_s.c_str());
       return 1;
     }
     opts.sweep_scheme = *s;
-  }
-  if (flags.count("dimtree") != 0) {
-    if (!sweep_s.empty() && opts.sweep_scheme != SweepScheme::DimTree) {
-      // The legacy alias contradicting an explicit --sweep choice; honoring
-      // either one silently would mislead.
-      std::fprintf(stderr, "--dimtree conflicts with --sweep %s\n",
-                   sweep_s.c_str());
-      return 1;
-    }
-    opts.sweep_scheme = SweepScheme::DimTree;  // legacy alias
   }
   const std::string method_s = flag_str(flags, "method");
   if (!method_s.empty()) {

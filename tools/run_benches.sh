@@ -52,7 +52,7 @@ echo "== fig5 (MTTKRP scaling, f64 vs f32) =="
 "${build_dir}/bench_fig5_scaling" --scale "${scale}" --threads 1,2,4 \
   --trials 3 --json "${log_dir}/fig5.json" | tee "${log_dir}/fig5.log"
 
-echo "== density ablation (dense vs COO vs CSF f64/f32, plan layer) =="
+echo "== density ablation (dense vs CSF f64/f32, plan layer) =="
 "${build_dir}/bench_ablation_density" --scale "${scale}" --threads 1 \
   --trials 3 --check --json "${log_dir}/ablation_density.json" \
   | tee "${log_dir}/ablation_density.log"
