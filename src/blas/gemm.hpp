@@ -8,9 +8,13 @@
 /// Design (BLIS-style):
 ///  - three-level blocking (NC x KC x MC) with packed A and B panels,
 ///  - an MR x NR register-tile micro-kernel, runtime-dispatched between
-///    explicit AVX2/FMA kernels (4x8 and 8x8 doubles, 8x8 floats) and a
-///    portable scalar tile (cpu_features.hpp; override with
-///    DMTK_SIMD=scalar|avx2),
+///    explicit AVX2/FMA kernels (4x8 and 8x8 doubles, 8x8 floats), AVX-512
+///    kernels (8x16 and 16x16 doubles, 16x16 floats;
+///    microkernel_avx512.hpp) and a portable scalar tile. AVX-512 is
+///    opt-in: a capable CPU still defaults to AVX2 8x8 unless DMTK_SIMD or
+///    a wisdom profile asks for it (cpu_features.hpp). DMTK_SIMD takes
+///    scalar, avx2 (= avx2-8x8), avx2-4x8, avx2-8x8, avx512
+///    (= avx512-16x16), avx512-8x16 or avx512-16x16 (parse_simd_level),
 ///  - collaborative internal parallelism: ONE thread team shares each
 ///    packed-B panel (packed cooperatively, then a barrier), and splits the
 ///    MC row blocks — or, when the output is too short for that, the NR

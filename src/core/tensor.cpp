@@ -9,7 +9,14 @@
 namespace dmtk {
 
 template <typename T>
-TensorT<T>::TensorT(std::vector<index_t> dims) : dims_(std::move(dims)) {
+TensorT<T>::TensorT(std::vector<index_t> dims)
+    : TensorT(std::move(dims), Unwritten{}) {
+  set_zero();
+}
+
+template <typename T>
+TensorT<T>::TensorT(std::vector<index_t> dims, Unwritten)
+    : dims_(std::move(dims)) {
   strides_.resize(dims_.size());
   index_t stride = 1;
   for (std::size_t n = 0; n < dims_.size(); ++n) {
@@ -18,7 +25,7 @@ TensorT<T>::TensorT(std::vector<index_t> dims) : dims_(std::move(dims)) {
     stride *= dims_[n];
   }
   numel_ = dims_.empty() ? 0 : stride;
-  data_.assign(static_cast<std::size_t>(numel_), T{0});
+  data_.resize(static_cast<std::size_t>(numel_));
 }
 
 template <typename T>

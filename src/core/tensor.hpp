@@ -26,6 +26,10 @@
 
 namespace dmtk {
 
+namespace io::detail {
+struct TensorReader;
+}  // namespace io::detail
+
 template <typename T>
 class TensorT {
  public:
@@ -124,10 +128,17 @@ class TensorT {
   static TensorT random_normal(std::vector<index_t> dims, Rng& rng);
 
  private:
+  /// The tensor-file reader alone builds tensors with unwritten entries:
+  /// its read writes every byte (first-touching each page on the thread
+  /// that reads it) or throws before the tensor escapes.
+  friend struct io::detail::TensorReader;
+  struct Unwritten {};
+  TensorT(std::vector<index_t> dims, Unwritten);
+
   std::vector<index_t> dims_;
   std::vector<index_t> strides_;  // strides_[n] = prod_{k<n} dims_[k] = I_Ln
   index_t numel_ = 0;
-  std::vector<T, AlignedAllocator<T>> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 extern template class TensorT<double>;

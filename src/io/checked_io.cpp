@@ -5,19 +5,39 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <limits>
+#include <vector>
 
 #include "util/crc32.hpp"
+#include "util/env.hpp"
 #include "util/fault.hpp"
+#include "util/parallel.hpp"
 
 namespace dmtk::io {
 namespace {
 
 constexpr std::size_t kWriteBufBytes = 1u << 16;
-/// Direct reads land in pieces this size: each is folded into the CRC
-/// while it still sits in L2.
-constexpr std::size_t kDirectPieceBytes = 1u << 18;
+
+/// Append a chunk's finished CRC to a running (unfinished) CRC state.
+/// crc32_final is an xor, its own inverse, so it also turns a finished
+/// CRC back into a running state.
+std::uint32_t append_crc(std::uint32_t state, std::uint32_t chunk_crc,
+                         std::uint64_t chunk_bytes) {
+  return util::crc32_final(util::crc32_combine(util::crc32_final(state),
+                                               chunk_crc, chunk_bytes));
+}
+
+/// Lower `target` to `v` when `v` is smaller.
+void fetch_min(std::atomic<std::uint64_t>& target, std::uint64_t v) {
+  std::uint64_t cur = target.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
 
 std::string errno_text(int err) {
   return err != 0 ? std::string(std::strerror(err)) : std::string("error");
@@ -197,14 +217,14 @@ FileReader::~FileReader() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void FileReader::fail(const std::string& what) {
+void FileReader::fail(const std::string& what) const {
   throw IoError("'" + path_.string() + "': " + what);
 }
 
 std::size_t FileReader::read_some(char* dst, std::size_t ask,
-                                  std::uint64_t at) {
+                                  std::uint64_t at) const {
   for (;;) {
-    ssize_t n = ::read(fd_, dst, ask);
+    ssize_t n = ::pread(fd_, dst, ask, static_cast<off_t>(at));
     if (n < 0) {
       if (errno == EINTR) continue;
       fail("read() failed at offset " + std::to_string(at) + ": " +
@@ -220,7 +240,7 @@ std::size_t FileReader::read_some(char* dst, std::size_t ask,
 }
 
 void FileReader::refill(std::size_t need) {
-  // Only called on an empty buffer, so the file position is offset_.
+  // Only called on an empty buffer, so the next unread byte is offset_.
   const std::size_t want = static_cast<std::size_t>(
       std::min<std::uint64_t>(payload_size_ - offset_, buf_.size()));
   buf_pos_ = 0;
@@ -230,21 +250,75 @@ void FileReader::refill(std::size_t need) {
                           offset_ + buf_end_);
 }
 
-void FileReader::read_direct(char* out, std::size_t n) {
-  while (n > 0) {
-    const std::size_t piece = std::min(n, kDirectPieceBytes);
-    std::size_t got = 0;
-    while (got < piece)
-      got += read_some(out + got, piece - got, offset_ + got);
-    // Fold while the piece is still cache-resident.
-    crc_ = util::crc32_update(crc_, out, piece);
-    out += piece;
-    offset_ += piece;
-    n -= piece;
+void FileReader::read_direct(char* out, std::size_t n, int threads) {
+  // Chunks are whole runs of pieces, split as evenly as block_range splits
+  // rows; the last piece of the read may be short.
+  const auto pieces =
+      static_cast<index_t>((n + kDirectPieceBytes - 1) / kDirectPieceBytes);
+  const int chunks = static_cast<int>(std::clamp<std::size_t>(
+      n / kParallelChunkBytes, 1,
+      static_cast<std::size_t>(resolve_threads(threads))));
+  struct Chunk {
+    std::size_t begin = 0;
+    std::size_t bytes = 0;
+    std::uint32_t crc = 0;
+    std::exception_ptr error;
+  };
+  std::vector<Chunk> parts(static_cast<std::size_t>(chunks));
+  for (int c = 0; c < chunks; ++c) {
+    const Range r = block_range(pieces, chunks, c);
+    Chunk& part = parts[static_cast<std::size_t>(c)];
+    part.begin = static_cast<std::size_t>(r.begin) * kDirectPieceBytes;
+    part.bytes =
+        std::min(static_cast<std::size_t>(r.end) * kDirectPieceBytes, n) -
+        part.begin;
   }
+
+  // Lowest payload offset at which a chunk has failed. A chunk stops once
+  // it is past it: that lower failure is the one thrown, as it would be
+  // by the one-thread read, whatever the later chunks would have seen.
+  std::atomic<std::uint64_t> failed_at{
+      std::numeric_limits<std::uint64_t>::max()};
+  const auto read_chunk = [&](Chunk& part) {
+    const std::uint64_t at = offset_ + part.begin;
+    char* dst = out + part.begin;
+    std::uint32_t state = util::crc32_init();
+    for (std::size_t done = 0; done < part.bytes;) {
+      if (failed_at.load(std::memory_order_relaxed) < at + done) return;
+      const std::size_t piece = std::min(part.bytes - done, kDirectPieceBytes);
+      std::size_t got = 0;
+      try {
+        while (got < piece)
+          got += read_some(dst + done + got, piece - got, at + done + got);
+      } catch (...) {
+        fetch_min(failed_at, at + done + got);
+        throw;
+      }
+      // Fold while the piece is still cache-resident.
+      state = util::crc32_update(state, dst + done, piece);
+      done += piece;
+    }
+    part.crc = util::crc32_final(state);
+  };
+  // An exception must not leave an OpenMP region (std::terminate): each
+  // thread keeps its chunk's, and the lowest chunk's is rethrown below.
+  parallel_region(chunks, [&](int t, int nt) {
+    for (int c = t; c < chunks; c += nt) {
+      Chunk& part = parts[static_cast<std::size_t>(c)];
+      try {
+        read_chunk(part);
+      } catch (...) {
+        part.error = std::current_exception();
+      }
+    }
+  });
+  for (const Chunk& part : parts)
+    if (part.error) std::rethrow_exception(part.error);
+  for (const Chunk& part : parts) crc_ = append_crc(crc_, part.crc, part.bytes);
+  offset_ += n;
 }
 
-void FileReader::read_bytes(void* data, std::size_t n) {
+void FileReader::read_bytes(void* data, std::size_t n, int threads) {
   if (n > payload_size_ - offset_)
     fail("truncated: need " + std::to_string(n) + " bytes at offset " +
          std::to_string(offset_) + " but payload ends at " +
@@ -265,7 +339,7 @@ void FileReader::read_bytes(void* data, std::size_t n) {
   // The buffer is drained. A request at least a buffer long goes straight
   // into the caller's memory; a short one refills the buffer first.
   if (n >= buf_.size()) {
-    read_direct(out, n);
+    read_direct(out, n, threads);
   } else {
     refill(n);
     take_buffered();

@@ -28,11 +28,16 @@
 ///    payload with checksum verification skipped.
 ///
 /// Read path. Small reads (headers, extents) are served from a 64 KiB
-/// buffer that read() fills directly. A read of a buffer's length or more
-/// first drains the buffer, then read()s straight into the caller's memory
-/// in 256 KiB pieces, folding each into the CRC while it is still in
-/// cache — the payload is copied once, by the kernel, and checksummed at
-/// the PCLMULQDQ fold's speed (util/crc32.hpp).
+/// buffer that pread() fills directly. A read of a buffer's length or more
+/// first drains the buffer, then pread()s straight into the caller's
+/// memory in 256 KiB pieces, folding each into the CRC while it is still
+/// in cache — the payload is copied once, by the kernel, and checksummed
+/// at the PCLMULQDQ fold's speed (util/crc32.hpp). A direct read given a
+/// team (`threads`) is split into one contiguous chunk per thread, each
+/// at least kParallelChunkBytes: every thread preads its chunk at its own
+/// offset, so it is the first to touch those pages of the caller's
+/// fresh buffer, and checksums it alone; the chunk CRCs are joined in
+/// file order with util::crc32_combine into the same running CRC.
 ///
 /// Text writers (.tns, .csv) use Footer::None: same atomic-replace
 /// discipline, no footer (the formats are line-oriented interchange
@@ -113,6 +118,14 @@ class FileWriter {
 /// naming the file and byte offset — the caller never sees partial data.
 class FileReader {
  public:
+  /// Direct reads land in pieces this size: each is folded into the CRC
+  /// while it still sits in L2.
+  static constexpr std::size_t kDirectPieceBytes = std::size_t{1} << 18;
+  /// Smallest chunk a direct read hands to a thread of its team (8 MiB):
+  /// a read shorter than two of these stays on the calling thread, where
+  /// it takes a few milliseconds and a team wake-up would not pay.
+  static constexpr std::size_t kParallelChunkBytes = 32 * kDirectPieceBytes;
+
   explicit FileReader(const std::filesystem::path& path);
   ~FileReader();
 
@@ -127,7 +140,12 @@ class FileReader {
   [[nodiscard]] bool has_footer() const noexcept { return has_footer_; }
 
   /// Read exactly `n` payload bytes (folding them into the running CRC).
-  void read_bytes(void* data, std::size_t n);
+  /// A direct read is split across up to `threads` threads (0 = the
+  /// library default, as resolve_threads) in chunks of at least
+  /// kParallelChunkBytes. The bytes, the CRC and every error are those
+  /// of the one-thread read; of several failing chunks the error at the
+  /// lowest offset is thrown.
+  void read_bytes(void* data, std::size_t n, int threads = 1);
 
   std::uint64_t read_u64() {
     std::uint64_t v = 0;
@@ -142,15 +160,16 @@ class FileReader {
   void verify();
 
  private:
-  /// One read() of up to `ask` bytes into `dst`, payload offset `at`.
+  /// One pread() of up to `ask` bytes into `dst` at payload offset `at`.
   /// Retries EINTR; an OS error, end of file or an injected
   /// `io.read.short` fault throws the truncation IoError naming `at`.
-  std::size_t read_some(char* dst, std::size_t ask, std::uint64_t at);
+  /// Touches no reader state, so team threads call it concurrently.
+  std::size_t read_some(char* dst, std::size_t ask, std::uint64_t at) const;
   /// Fill the (empty) buffer with at least `need` bytes.
   void refill(std::size_t need);
-  /// Read `n` bytes straight into `out`, folding the CRC piece by piece.
-  void read_direct(char* out, std::size_t n);
-  [[noreturn]] void fail(const std::string& what);
+  /// Read `n` bytes straight into `out` on a team of up to `threads`.
+  void read_direct(char* out, std::size_t n, int threads);
+  [[noreturn]] void fail(const std::string& what) const;
 
   std::filesystem::path path_;
   int fd_ = -1;

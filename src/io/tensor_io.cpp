@@ -172,8 +172,22 @@ void read_converting(FileReader& r, To* dst, std::size_t n) {
 
 }  // namespace
 
+namespace detail {
+
+/// The one caller of TensorT's unwritten-storage constructor: every entry
+/// is written by the read below, or the read throws and the tensor is
+/// dropped unseen.
+struct TensorReader {
+  template <typename T>
+  static TensorT<T> unwritten(std::vector<index_t> dims) {
+    return TensorT<T>(std::move(dims), typename TensorT<T>::Unwritten{});
+  }
+};
+
+}  // namespace detail
+
 template <typename T>
-TensorT<T> read_tensor_as(const std::filesystem::path& path) {
+TensorT<T> read_tensor_as(const std::filesystem::path& path, int threads) {
   FileReader r(path);
   const ScalarKind kind = read_tensor_magic(r);
   const std::vector<index_t> dims = read_tensor_extents(r);
@@ -186,11 +200,11 @@ TensorT<T> read_tensor_as(const std::filesystem::path& path) {
   const std::size_t elem =
       kind == ScalarKind::F32 ? sizeof(float) : sizeof(double);
   check_payload_has(r, numel, elem, "tensor body");
-  TensorT<T> X(dims);
+  TensorT<T> X = detail::TensorReader::unwritten<T>(dims);
   const std::size_t n = static_cast<std::size_t>(X.numel());
   const bool want_f32 = std::is_same_v<T, float>;
   if ((kind == ScalarKind::F32) == want_f32) {
-    read_scalars(r, X.data(), n);
+    r.read_bytes(X.data(), n * sizeof(T), threads);
   } else if (kind == ScalarKind::F32) {
     read_converting<float>(r, X.data(), n);
   } else {
@@ -200,8 +214,8 @@ TensorT<T> read_tensor_as(const std::filesystem::path& path) {
   return X;
 }
 
-Tensor read_tensor(const std::filesystem::path& path) {
-  return read_tensor_as<double>(path);
+Tensor read_tensor(const std::filesystem::path& path, int threads) {
+  return read_tensor_as<double>(path, threads);
 }
 
 ScalarKind tensor_scalar_kind(const std::filesystem::path& path) {
@@ -219,8 +233,8 @@ template void write_tensor<double>(const std::filesystem::path&,
                                    const Tensor&);
 template void write_tensor<float>(const std::filesystem::path&,
                                   const TensorF&);
-template Tensor read_tensor_as<double>(const std::filesystem::path&);
-template TensorF read_tensor_as<float>(const std::filesystem::path&);
+template Tensor read_tensor_as<double>(const std::filesystem::path&, int);
+template TensorF read_tensor_as<float>(const std::filesystem::path&, int);
 
 void write_matrix(const std::filesystem::path& path, const Matrix& M) {
   FileWriter w(path, FileWriter::Footer::Crc32);

@@ -42,16 +42,25 @@ extern template void write_tensor<float>(const std::filesystem::path&,
                                          const TensorF&);
 
 /// Read a tensor written by write_tensor, converting the payload (f64 or
-/// f32) to the requested scalar type entrywise.
+/// f32) to the requested scalar type entrywise. A same-precision payload
+/// past 16 MiB (two FileReader::kParallelChunkBytes) is read by a team
+/// of up to `threads` threads (0 =
+/// the library default): each preads and checksums one contiguous chunk
+/// straight into the tensor, taking that chunk's first-touch page
+/// faults itself (see checked_io.hpp). The tensor, the CRC verdict and
+/// every error are those of the one-thread read. Converting reads run on
+/// the calling thread.
 template <typename T>
-TensorT<T> read_tensor_as(const std::filesystem::path& path);
+TensorT<T> read_tensor_as(const std::filesystem::path& path, int threads = 0);
 
-extern template Tensor read_tensor_as<double>(const std::filesystem::path&);
-extern template TensorF read_tensor_as<float>(const std::filesystem::path&);
+extern template Tensor read_tensor_as<double>(const std::filesystem::path&,
+                                              int);
+extern template TensorF read_tensor_as<float>(const std::filesystem::path&,
+                                              int);
 
 /// Read a tensor written by write_tensor as double (accepts both payload
 /// kinds) — the historical entry point.
-Tensor read_tensor(const std::filesystem::path& path);
+Tensor read_tensor(const std::filesystem::path& path, int threads = 0);
 
 /// Payload scalar kind of a dense-tensor file (throws IoError when the
 /// file is not a dmtk tensor file).

@@ -566,7 +566,7 @@ void Server::decompose_one(const Queue::Item& item,
   const double queue_ms = ms_since(item.enqueued);
 
   WallTimer read_t;
-  const TensorT<T> X = io::read_tensor_as<T>(r.tensor);
+  const TensorT<T> X = io::read_tensor_as<T>(r.tensor, opts_.threads);
   const double read_ms = read_t.seconds() * 1e3;
 
   CpAlsOptionsT<T> o;
@@ -717,7 +717,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       p.item = item;
       p.queue_ms = ms_since(item->enqueued);
       WallTimer read_t;
-      const TensorT<T> X = io::read_tensor_as<T>(r.tensor);
+      const TensorT<T> X = io::read_tensor_as<T>(r.tensor, nt);
       DMTK_CHECK(std::equal(X.dims().begin(), X.dims().end(),
                             job.dims.begin(), job.dims.end()),
                  "mttkrp: tensor extents changed between probe and read");

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <type_traits>
 
 namespace dmtk {
 
@@ -74,6 +75,30 @@ class AlignedAllocator {
  private:
   /// Room for the stored block address plus the worst-case alignment pad.
   static constexpr std::size_t kSlack = Alignment + sizeof(void*);
+};
+
+/// AlignedAllocator whose argument-less construct() default-initialises:
+/// a vector's resize() then leaves new scalars unwritten, so the first
+/// write to each page is the owner's own (value construction, as in
+/// assign(n, v), is unchanged).
+template <typename T>
+class DefaultInitAllocator : public AlignedAllocator<T> {
+ public:
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  /// Construction with arguments has no overload here, so
+  /// std::allocator_traits constructs those values as usual.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
 };
 
 }  // namespace dmtk

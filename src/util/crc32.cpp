@@ -25,6 +25,27 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
 
 constexpr std::array<std::uint32_t, 256> kTable = make_crc32_table();
 
+/// a(x) * b(x) mod P(x) in the reflected bit order the table uses: bit 31
+/// holds x^0, bit 0 holds x^31.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
+}
+
+/// x^(8 n) mod P(x): the operator that moves a CRC past n zero bytes.
+std::uint32_t x8nmodp(std::uint64_t n) noexcept {
+  std::uint32_t power = 1u << 31;  // x^0
+  for (std::uint32_t sq = 1u << 23; n != 0; n >>= 1) {  // x^8, x^16, ...
+    if ((n & 1u) != 0) power = multmodp(sq, power);
+    sq = multmodp(sq, sq);
+  }
+  return power;
+}
+
 #ifdef DMTK_HAVE_CRC32_PCLMUL
 
 /// Below this many bytes the fold's fixed cost (four 16-byte lanes, three
@@ -139,6 +160,11 @@ std::uint32_t crc32_update_bytewise(std::uint32_t state, const void* data,
 }
 
 }  // namespace detail
+
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2) noexcept {
+  return multmodp(x8nmodp(len2), crc1) ^ crc2;
+}
 
 std::uint32_t crc32_update(std::uint32_t state, const void* data,
                            std::size_t n) noexcept {

@@ -32,6 +32,15 @@ inline std::uint32_t crc32(const void* data, std::size_t n) noexcept {
   return crc32_final(crc32_update(crc32_init(), data, n));
 }
 
+/// CRC of the concatenation A||B from crc1 = crc32(A), crc2 = crc32(B)
+/// and len2 = |B| (finished CRCs, as zlib's crc32_combine): crc1 is
+/// shifted past len2 zero bytes by one multiplication with x^(8 len2)
+/// mod P(x), computed by repeated squaring in O(log len2) — no bytes of
+/// either input are touched. This is what lets chunks of one payload be
+/// checksummed on separate threads and joined in file order.
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                            std::uint64_t len2) noexcept;
+
 namespace detail {
 
 /// The one-byte-per-step table loop: the reference the folded path is

@@ -58,7 +58,7 @@ Registry& registry() {
 /// not.
 constexpr std::string_view kKnownSites[] = {
     "arena.alloc",    // exec/exec_context.hpp WorkspaceArena::reserve_bytes
-    "io.read.short",  // io/checked_io.cpp     FileReader::refill
+    "io.read.short",  // io/checked_io.cpp     FileReader::read_some
     "io.write",       // io/checked_io.cpp     FileWriter::flush_buffer
     "serve.accept",   // serve/server.cpp      accept loop
     "serve.worker",   // serve/server.cpp      worker batch

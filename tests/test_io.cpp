@@ -4,9 +4,11 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "io/checked_io.hpp"
 #include "io/tensor_io.hpp"
 #include "test_helpers.hpp"
 
@@ -130,6 +132,59 @@ TEST_F(IoTest, LargeTensorRoundTrip) {
   write_tensor(path("big.dten"), X);
   Tensor Y = read_tensor(path("big.dten"));
   EXPECT_DOUBLE_EQ(X.max_abs_diff(Y), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel direct reads.
+// ---------------------------------------------------------------------------
+
+/// Columns of a 1024 x cols tensor of T whose direct read (the body less
+/// what FileReader's 64 KiB buffer serves after the 32-byte 2-way header)
+/// is just under (`above` false) or just over `chunks` parallel chunks.
+template <typename T>
+index_t cols_around_cut(std::size_t chunks, bool above) {
+  const std::size_t col_bytes = 1024 * sizeof(T);
+  const std::size_t buffered = (std::size_t{1} << 16) - 32;
+  const std::size_t cut = chunks * FileReader::kParallelChunkBytes;
+  const std::size_t cols = (cut + buffered) / col_bytes;
+  return static_cast<index_t>(above ? cols + 1 : cols - 1);
+}
+
+template <typename T>
+void expect_same_bits(const TensorT<T>& a, const TensorT<T>& b) {
+  ASSERT_EQ(a.numel(), b.numel());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(T)),
+            0);
+}
+
+template <typename T>
+void check_parallel_reads(const fs::path& p) {
+  // Just below two chunks the read stays on one thread; just above it
+  // splits in two; just past three chunks a team of 3 splits 97
+  // pieces unevenly. Every team size gives the one-thread read's bits.
+  for (const auto& [chunks, above] :
+       {std::pair{2, false}, std::pair{2, true}, std::pair{3, true}}) {
+    Rng rng(static_cast<std::uint64_t>(40 + chunks + (above ? 1 : 0)));
+    const TensorT<T> X = TensorT<T>::random_uniform(
+        {1024, cols_around_cut<T>(chunks, above)}, rng);
+    write_tensor(p, X);
+    const TensorT<T> one = read_tensor_as<T>(p, 1);
+    expect_same_bits(one, X);
+    for (const int threads : {0, 2, 3, 7}) {
+      SCOPED_TRACE(::testing::Message() << "chunks " << chunks << ", above "
+                                        << above << ", threads " << threads);
+      expect_same_bits(read_tensor_as<T>(p, threads), one);
+    }
+  }
+}
+
+TEST_F(IoTest, ParallelReadAroundTheCutOffMatchesOneThreadF64) {
+  check_parallel_reads<double>(path("cut64.dten"));
+}
+
+TEST_F(IoTest, ParallelReadAroundTheCutOffMatchesOneThreadF32) {
+  check_parallel_reads<float>(path("cut32.dten"));
 }
 
 // ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@
 
 #include "core/cp_model.hpp"
 #include "core/tensor.hpp"
+#include "io/checked_io.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
 #include "util/fault.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dmtk {
@@ -333,6 +335,148 @@ TEST_F(IoCorruptTest, ShortReadFaultIsConsultedOnDirectReads) {
   }
   EXPECT_TRUE(failed_past_buffer)
       << "no seed failed a read past the first 64 KiB";
+}
+
+// ------------------------------------------------ parallel direct reads
+
+/// A 1024 x 3080 f64 tensor: after the buffered header its direct read is
+/// just over three FileReader::kParallelChunkBytes, so a team of 3 reads
+/// it as three chunks of 33, 32 and 32 pieces.
+constexpr index_t kTeamCols = 3080;
+constexpr int kTeam = 3;
+
+Tensor team_tensor() {
+  Rng rng(61);
+  return Tensor::random_uniform({1024, kTeamCols}, rng);
+}
+
+/// Payload offset at which the direct read of team_tensor() starts: the
+/// end of the first 64 KiB buffer fill.
+constexpr std::uint64_t kDirectStart = std::uint64_t{1} << 16;
+
+/// Payload offset of the first byte of chunk `c` of a kTeam-chunk read.
+std::uint64_t chunk_start(int c) {
+  const std::uint64_t direct =
+      1024 * kTeamCols * sizeof(double) + 32 - kDirectStart;
+  const auto pieces = static_cast<index_t>(
+      (direct + io::FileReader::kDirectPieceBytes - 1) /
+      io::FileReader::kDirectPieceBytes);
+  return kDirectStart +
+         static_cast<std::uint64_t>(block_range(pieces, kTeam, c).begin) *
+             io::FileReader::kDirectPieceBytes;
+}
+
+std::uint64_t offset_in(const std::string& what) {
+  const std::string marker = "unexpected end of data at offset ";
+  const std::size_t at = what.find(marker);
+  EXPECT_NE(at, std::string::npos) << what;
+  if (at == std::string::npos) return 0;
+  return std::stoull(what.substr(at + marker.size()));
+}
+
+TEST_F(IoCorruptTest, TeamReadFlippedByteInAnyChunkIsAChecksumMismatch) {
+  const std::string p = path("team.dten");
+  io::write_tensor(p, team_tensor());
+  const std::vector<char> good = slurp(p);
+  const std::size_t payload = good.size() - io::kFooterBytes;
+  for (const std::uint64_t at :
+       {chunk_start(0) + 5, chunk_start(1) + 77, std::uint64_t{payload - 3}}) {
+    std::vector<char> rot = good;
+    rot[at] = static_cast<char>(rot[at] ^ 0x01);
+    spit(p, rot);
+    try {
+      (void)io::read_tensor_as<double>(p, kTeam);
+      ADD_FAILURE() << "flip at " << at << " was not detected";
+    } catch (const io::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  spit(p, good);
+  EXPECT_NO_THROW((void)io::read_tensor_as<double>(p, kTeam));
+}
+
+TEST_F(IoCorruptTest, TeamReadOfATruncatedFileThrowsTheTruncationError) {
+  const std::string p = path("team-cut.dten");
+  io::write_tensor(p, team_tensor());
+  const std::uint64_t size = fs::file_size(p);
+
+  // Cut before opening: the header's claim outruns the bytes present.
+  fs::resize_file(p, size / 2);
+  try {
+    (void)io::read_tensor_as<double>(p, kTeam);
+    ADD_FAILURE() << "truncated file read without error";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("payload bytes remain at offset"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Cut while open, inside the last chunk: the first two chunks read
+  // whole, the third meets end of file, and the error names exactly the
+  // cut — a failure past the first chunk, reported as the one-thread read
+  // reports it.
+  io::write_tensor(p, team_tensor());
+  for (const int threads : {1, kTeam}) {
+    io::FileReader r(p);
+    std::vector<char> header(32);
+    r.read_bytes(header.data(), header.size());
+    const std::uint64_t cut = chunk_start(2) + 12345;
+    fs::resize_file(p, cut);
+    std::vector<double> body(1024 * kTeamCols);
+    try {
+      r.read_bytes(body.data(), body.size() * sizeof(double), threads);
+      ADD_FAILURE() << "read past a cut file succeeded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(offset_in(e.what()), cut) << "threads " << threads;
+    }
+    io::write_tensor(p, team_tensor());
+  }
+}
+
+TEST_F(IoCorruptTest, TeamReadShortReadFaultsSurfaceAsIoErrors) {
+  // Every pread of every team thread consults io.read.short. Whether the
+  // header or a chunk fails first, the caller gets an IoError naming an
+  // offset inside the payload — never a crash from an exception leaving
+  // the team — and a clean read afterwards.
+  const std::string p = path("team-fault.dten");
+  const Tensor X = team_tensor();
+  io::write_tensor(p, X);
+  const std::uint64_t payload = fs::file_size(p) - io::kFooterBytes;
+  for (const double rate : {1.0, 0.5}) {
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "rate " << rate << ", seed "
+                                        << seed);
+      fault::arm("io.read.short", rate, seed);
+      try {
+        (void)io::read_tensor_as<double>(p, kTeam);
+        ADD_FAILURE() << "no short read surfaced";
+      } catch (const io::IoError& e) {
+        EXPECT_LT(offset_in(e.what()), payload);
+      }
+      fault::disarm_all();
+
+      // Armed only for the body: the failure lies in the direct read.
+      io::FileReader r(p);
+      std::vector<char> header(32);
+      r.read_bytes(header.data(), header.size());
+      std::vector<double> body(1024 * kTeamCols);
+      fault::arm("io.read.short", rate, seed);
+      try {
+        r.read_bytes(body.data(), body.size() * sizeof(double), kTeam);
+        ADD_FAILURE() << "no short read surfaced in the body";
+      } catch (const io::IoError& e) {
+        const std::uint64_t at = offset_in(e.what());
+        EXPECT_GE(at, kDirectStart);
+        EXPECT_LT(at, payload);
+      }
+      fault::disarm_all();
+    }
+  }
+  const Tensor back = io::read_tensor_as<double>(p, kTeam);
+  ASSERT_EQ(back.numel(), X.numel());
+  for (index_t i = 0; i < X.numel(); ++i) ASSERT_EQ(back[i], X[i]);
 }
 
 }  // namespace

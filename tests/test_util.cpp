@@ -409,6 +409,74 @@ TEST(Crc32, PiecewiseUpdatesEqualOneShot) {
   EXPECT_EQ(util::crc32_final(state), whole);
 }
 
+std::uint32_t bytewise_crc(const unsigned char* p, std::size_t n) {
+  return util::crc32_final(
+      util::detail::crc32_update_bytewise(util::crc32_init(), p, n));
+}
+
+TEST(Crc32Combine, JoinsTwoHalvesAtEverySplitKind) {
+  const std::vector<unsigned char> b = seeded_bytes(4096 + 16, 19);
+  std::mt19937 gen(23);
+  std::uniform_int_distribution<std::size_t> any(0, 4096);
+  for (std::size_t off = 0; off < 16; ++off) {  // unaligned starts
+    const unsigned char* p = b.data() + off;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{63}, std::size_t{200},
+                                std::size_t{4096}}) {
+      const std::uint32_t whole = bytewise_crc(p, n);
+      // Empty halves, halves under the 64-byte fold minimum on either
+      // side, and seeded random splits.
+      std::vector<std::size_t> splits = {0, n};
+      for (std::size_t k = 1; k < 64 && k < n; ++k) {
+        splits.push_back(k);
+        splits.push_back(n - k);
+      }
+      for (int r = 0; r < 8; ++r) splits.push_back(any(gen) % (n + 1));
+      for (const std::size_t split : splits) {
+        ASSERT_EQ(util::crc32_combine(bytewise_crc(p, split),
+                                      bytewise_crc(p + split, n - split),
+                                      n - split),
+                  whole)
+            << "offset " << off << ", length " << n << ", split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32Combine, JoinsTwoToSevenChunksInOrder) {
+  const std::vector<unsigned char> b = seeded_bytes(100000, 29);
+  const std::uint32_t whole = bytewise_crc(b.data(), b.size());
+  std::mt19937 gen(31);
+  for (std::size_t chunks = 2; chunks <= 7; ++chunks) {
+    for (int r = 0; r < 4; ++r) {
+      std::uniform_int_distribution<std::size_t> cut(0, b.size());
+      std::vector<std::size_t> bounds = {0, b.size()};
+      for (std::size_t k = 1; k < chunks; ++k) bounds.push_back(cut(gen));
+      std::sort(bounds.begin(), bounds.end());
+      std::uint32_t crc = bytewise_crc(b.data(), bounds[1]);
+      for (std::size_t k = 1; k < chunks; ++k) {
+        const std::size_t len = bounds[k + 1] - bounds[k];
+        crc = util::crc32_combine(crc, bytewise_crc(b.data() + bounds[k], len),
+                                  len);
+      }
+      EXPECT_EQ(crc, whole) << chunks << " chunks, draw " << r;
+    }
+  }
+}
+
+TEST(Crc32Combine, LengthsPastFourGibibytesAssociate) {
+  // No buffer: A||B||C with |B| + |C| >= 2^32 joins to the same CRC either
+  // way round, which fails if the shift loses the length's high bits. Any
+  // 32-bit value is the CRC of some input of 4 bytes or more.
+  const std::uint64_t lb = (std::uint64_t{1} << 31) + 3;
+  const std::uint64_t lc = (std::uint64_t{1} << 31) + 5;
+  const std::uint32_t a = 0x01234567u, b = 0x89ABCDEFu, c = 0xDEADBEEFu;
+  EXPECT_EQ(util::crc32_combine(util::crc32_combine(a, b, lb), c, lc),
+            util::crc32_combine(a, util::crc32_combine(b, c, lc), lb + lc));
+  // A zero-length second part leaves the first CRC as it is.
+  EXPECT_EQ(util::crc32_combine(a, util::crc32("", 0), 0), a);
+}
+
 TEST(Crc32, ZeroLengthUpdateIsIdentity) {
   const unsigned char byte = 0x5A;
   for (const std::uint32_t state : {0u, util::crc32_init(), 0xDEADBEEFu}) {

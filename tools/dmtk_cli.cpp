@@ -624,8 +624,8 @@ int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
 int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
                       SweepScheme resolved, const std::string& out, bool nn,
                       bool acc64) {
-  const TensorF X = io::read_tensor_as<float>(pos);
   ExecContext ctx(dopts.exec != nullptr ? dopts.exec->threads() : 0);
+  const TensorF X = io::read_tensor_as<float>(pos, ctx.threads());
   CpAlsOptionsF opts;
   opts.rank = dopts.rank;
   opts.max_iters = dopts.max_iters;
@@ -738,7 +738,7 @@ int cmd_decompose(int argc, char** argv) {
     return cmd_decompose_f32(pos, opts, resolved, flag_str(flags, "out"),
                              flags.count("nn") != 0, flag_wants_acc64(flags));
   }
-  const Tensor X = io::read_tensor(pos);
+  const Tensor X = io::read_tensor(pos, ctx.threads());
 
   WallTimer t;
   CpAlsResult r;
