@@ -83,7 +83,7 @@ struct Args {
             "  --threads comma-separated thread counts to sweep\n"
             "  --trials  timing repetitions (median reported)\n"
             "  --method  restrict to one MTTKRP kernel (reference, reorder,\n"
-            "            1-step-seq, 1-step, 2-step, auto)\n",
+            "            1-step-seq, 1-step, 2-step, auto, acc64)\n",
             argv[0]);
         std::exit(0);
       }

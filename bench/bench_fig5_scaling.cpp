@@ -15,8 +15,9 @@
 ///  - 1-step and 2-step scale better than the baseline with threads;
 ///  - fp32 approaches 2x the fp64 throughput on the bandwidth-bound
 ///    shapes (the motivating economy of the scalar-templated core);
-///  - the mixed-precision `acc64` rows (fp32 storage, fp64 accumulators
-///    via mttkrp_acc64) price the fp64-fit-floor recovery.
+///  - the mixed-precision `acc64` rows (fp32 storage, fp64 accumulators:
+///    an MttkrpPlanT<float> with MttkrpMethod::Acc64) price the
+///    fp64-fit-floor recovery.
 
 #include <cstdio>
 #include <cstring>
@@ -37,7 +38,7 @@ using namespace dmtk;
 /// One timed row for the --json record.
 struct SweepRow {
   index_t order;
-  const char* method;  // "baseline" | "1-step" | "2-step"
+  const char* method;  // "baseline" | "1-step" | "2-step" | "acc64"
   const char* precision;
   index_t mode;  // -1 for the baseline
   int threads;
@@ -97,9 +98,10 @@ void run_precision(const TensorT<T>& X, const std::vector<MatrixT<T>>& fs,
     // between the f32 and f64 rows — it moves the f32 bytes but loses
     // the f32 FLOP-rate doubling inside its (unblocked) inner loop.
     if constexpr (std::is_same_v<T, float>) {
-      if (args.runs(MttkrpMethod::OneStep)) {
+      if (args.runs(MttkrpMethod::Acc64)) {
+        MttkrpPlanT<T> plan(ctx, X.dims(), C, mode, MttkrpMethod::Acc64);
         const double sa =
-            time_median(args.trials, [&] { mttkrp_acc64(X, fs, mode, M, t); });
+            time_median(args.trials, [&] { plan.execute(X, fs, M); });
         std::printf("%-12s %-5s %-6lld %-9d %-12.4f\n", "acc64",
                     "f32", static_cast<long long>(mode), t, sa);
         g_rows.push_back({N, "acc64", "f32", mode, t, sa});

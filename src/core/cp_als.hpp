@@ -15,7 +15,6 @@
 /// aliases keep existing double call sites compiling unchanged.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,11 @@ struct CpAlsOptionsT {
   index_t rank = 10;        ///< number of CP components C
   int max_iters = 50;       ///< maximum ALS sweeps
   double tol = 1e-4;        ///< stop when the fit improves by less than this
-  MttkrpMethod method = MttkrpMethod::Auto;  ///< MTTKRP kernel selection
+  /// MTTKRP kernel selection. Acc64 (fp32 options only) is the mixed-
+  /// precision run: fp32 storage, Gram and solve, fp64 MTTKRP sums — it
+  /// recovers the fp64 fit floor on fit-limited problems at the fp32
+  /// memory footprint, at a per-sweep speed cost (see core/mttkrp.hpp).
+  MttkrpMethod method = MttkrpMethod::Auto;
   int threads = 0;          ///< <=0: library default (used when exec unset)
   std::uint64_t seed = 42;  ///< seed for random initialization
   bool compute_fit = true;  ///< fit costs one extra O(InC) pass per sweep
@@ -43,8 +46,8 @@ struct CpAlsOptionsT {
   /// PerMode = independent per-mode kernels selected by `method`; DimTree =
   /// the two-group dimension tree, reusing each group's full-tensor pass
   /// across its modes (`method` is then ignored — the tree has its own
-  /// contraction kernels). Auto currently resolves to PerMode for N <= 3
-  /// and DimTree for N >= 4.
+  /// contraction kernels — and Acc64 refused). Auto resolves to PerMode
+  /// for N <= 3 or an explicit method, else DimTree.
   SweepScheme sweep_scheme = SweepScheme::Auto;
 
   /// Execution context (threads + workspace arena). When set, `threads` is
@@ -55,15 +58,6 @@ struct CpAlsOptionsT {
   /// `threads` — same result, but the workspace cannot be shared across
   /// drivers.
   const ExecContext* exec = nullptr;
-
-  /// Custom MTTKRP kernel. When set it replaces the built-in plans and
-  /// `method` is ignored — the hook for experimenting with kernels that
-  /// share the exact ALS driver (initialization, solve, stopping rule)
-  /// while swapping only the bottleneck.
-  using MttkrpFn =
-      std::function<void(const TensorT<T>&, std::span<const MatrixT<T>>,
-                         index_t, MatrixT<T>&, const ExecContext&)>;
-  MttkrpFn mttkrp_override;
 
   /// Crash-safe checkpointing (see io/checkpoint.hpp). When non-empty,
   /// the sweep loop writes an atomic CRC'd checkpoint of the model +
@@ -119,11 +113,11 @@ struct CpAlsResultT {
   int resumed_sweeps = 0;
   std::vector<CpAlsIterStats> iters;  ///< one entry per sweep
   /// Phase breakdown summed over the per-mode MttkrpPlans across all
-  /// sweeps (PerMode scheme; zero for DimTree or a custom mttkrp_override,
-  /// whose phases live in sweep_timings).
+  /// sweeps (PerMode scheme; zero for DimTree, whose phases live in
+  /// sweep_timings).
   MttkrpTimings mttkrp_timings;
   /// Per-node sweep-plan breakdown (tree nodes for DimTree, one leaf per
-  /// mode for PerMode; empty when a custom mttkrp_override ran).
+  /// mode for PerMode).
   SweepTimings sweep_timings;
 };
 
@@ -149,11 +143,10 @@ extern template CpAlsResultF cp_als<float>(const TensorF&,
 /// the same (shape, rank). The plan must be dense, match X's extents and
 /// opts.rank, and outlive the call; execution uses plan.context() —
 /// opts.exec and opts.threads are ignored (the plan's arena lives in its
-/// own context), and opts.mttkrp_override is rejected (it would bypass
-/// the plan this overload exists to reuse). opts.sweep_scheme / method
-/// are likewise superseded by what the plan was built with. Identical
-/// results to the plan-less overload given matching construction
-/// parameters — byte-identical factors for equal seeds.
+/// own context), and opts.sweep_scheme / method are superseded by what
+/// the plan was built with. Identical results to the plan-less overload
+/// given matching construction parameters — byte-identical factors for
+/// equal seeds.
 template <typename T>
 CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                        CpAlsSweepPlanT<T>& plan);
@@ -162,18 +155,6 @@ extern template CpAlsResult cp_als<double>(const Tensor&, const CpAlsOptions&,
                                            CpAlsSweepPlan&);
 extern template CpAlsResultF cp_als<float>(const TensorF&, const CpAlsOptionsF&,
                                            CpAlsSweepPlanF&);
-
-/// An mttkrp_override running mttkrp_acc64 (the fp64-accumulate fp32
-/// MTTKRP): `opts.mttkrp_override = mttkrp_acc64_override();` turns a
-/// float cp_als into the mixed-precision run — fp32 storage, Gram, and
-/// solve, fp64 MTTKRP sums — which recovers the fp64 fit floor on
-/// fit-limited problems while keeping the fp32 memory footprint. The
-/// kernel's fp64 inner loop bypasses the blocked micro-kernels, so the
-/// sweeps run slower than the planned fp32 methods (BENCH_pr9's acc64
-/// rows) — it is the accuracy end of the precision/speed trade.
-/// Checkpoints written with the override set are bound to it (the
-/// options hash mixes its presence).
-CpAlsOptionsF::MttkrpFn mttkrp_acc64_override();
 
 /// The Hadamard product of all Gram matrices except `skip`:
 /// H = (*)_{k != skip} grams[k]. Pass skip = -1 to include all modes.

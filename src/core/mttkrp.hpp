@@ -4,7 +4,7 @@
 ///   M = X(n) * (U_{N-1} (.) ... (.) U_{n+1} (.) U_{n-1} (.) ... (.) U_0),
 /// the computational bottleneck of CP decompositions (Section 2.3).
 ///
-/// Five implementations are provided:
+/// Six implementations are provided:
 ///  - Reference: element-wise loops, O(I*N*C). Testing oracle only.
 ///  - Reorder:   explicit matricization (tensor permute) + explicit
 ///               column-wise KRP + one GEMM — the straightforward approach
@@ -24,13 +24,21 @@
 ///  - Auto:      the paper's CP-ALS policy — 1-step for external modes
 ///               (where 2-step degenerates to it anyway) and 2-step for
 ///               internal modes.
+///  - Acc64:     mixed precision for fp32 storage (MttkrpPlanT<float>
+///               only): the full transposed fp32 KRP, then every output
+///               entry summed in an fp64 accumulator over the natural
+///               blocks of X(n) and rounded once on the store — the dense
+///               analogue of the sparse CSF kernel's fp64 sums. Slower
+///               than the blocked fp32 methods (its inner loop skips the
+///               micro-kernels); it buys the fp64 fit floor.
 ///
 /// The kernels themselves live behind the plan API of exec/mttkrp_plan.hpp
 /// (dispatch, thread partitions, and workspace are precomputed once and
 /// reused across ALS sweeps). The free functions below are thin ONE-SHOT
 /// wrappers that build a transient plan per call — fine for tests and
 /// occasional calls; hot loops should hold an ExecContext and an
-/// MttkrpPlan per mode instead.
+/// MttkrpPlan per mode instead, and read its phase breakdown from
+/// plan.timings().
 
 #include <optional>
 #include <span>
@@ -43,6 +51,8 @@
 
 namespace dmtk {
 
+/// The integer values are part of the checkpoint options hash
+/// (detail::cp_als_options_hash), so new methods are appended.
 enum class MttkrpMethod {
   Reference,
   Reorder,
@@ -50,13 +60,14 @@ enum class MttkrpMethod {
   OneStep,
   TwoStep,
   Auto,
+  Acc64,
 };
 
 /// Human-readable method name (for logs and benchmark tables).
 std::string_view to_string(MttkrpMethod m);
 
 /// Inverse of to_string: parse a method name ("reference", "reorder",
-/// "1-step-seq", "1-step", "2-step", "auto"). Returns nullopt for unknown
+/// "1-step-seq", "1-step", "2-step", "auto", "acc64"). Returns nullopt for unknown
 /// names — the single parser shared by the CLI and the benchmarks.
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name);
 
@@ -89,40 +100,23 @@ template <typename T>
 void mttkrp(const TensorT<T>& X,
             std::span<const MatrixT<std::type_identity_t<T>>> factors,
             index_t mode, MatrixT<T>& M,
-            MttkrpMethod method = MttkrpMethod::Auto, int threads = 0,
-            MttkrpTimings* timings = nullptr);
+            MttkrpMethod method = MttkrpMethod::Auto, int threads = 0);
 
 /// Convenience overload returning the result.
 template <typename T>
 MatrixT<T> mttkrp(const TensorT<T>& X,
                   std::span<const MatrixT<std::type_identity_t<T>>> factors,
                   index_t mode, MttkrpMethod method = MttkrpMethod::Auto,
-                  int threads = 0, MttkrpTimings* timings = nullptr);
+                  int threads = 0);
 
 extern template void mttkrp<double>(const Tensor&, std::span<const Matrix>,
-                                    index_t, Matrix&, MttkrpMethod, int,
-                                    MttkrpTimings*);
+                                    index_t, Matrix&, MttkrpMethod, int);
 extern template void mttkrp<float>(const TensorF&, std::span<const MatrixF>,
-                                   index_t, MatrixF&, MttkrpMethod, int,
-                                   MttkrpTimings*);
+                                   index_t, MatrixF&, MttkrpMethod, int);
 extern template Matrix mttkrp<double>(const Tensor&, std::span<const Matrix>,
-                                      index_t, MttkrpMethod, int,
-                                      MttkrpTimings*);
+                                      index_t, MttkrpMethod, int);
 extern template MatrixF mttkrp<float>(const TensorF&, std::span<const MatrixF>,
-                                      index_t, MttkrpMethod, int,
-                                      MttkrpTimings*);
-
-/// Mixed-precision dense MTTKRP for fp32 storage: streams X and the
-/// factors in float (the bandwidth-bound part) but keeps every per-entry
-/// sum in an fp64 accumulator, rounding once on the output store — the
-/// dense analogue of what the sparse CSF/COO kernels always do. One-shot
-/// (forms the full transposed fp32 KRP per call) and deterministic across
-/// thread counts: threads own disjoint output rows, so each entry's
-/// accumulation order is fixed. Opt in from CP-ALS via
-/// `opts.mttkrp_override = mttkrp_acc64_override()` (cp_als.hpp) or the
-/// CLI's `--accumulate double`.
-void mttkrp_acc64(const TensorF& X, std::span<const MatrixF> factors,
-                  index_t mode, MatrixF& M, int threads = 0);
+                                      index_t, MttkrpMethod, int);
 
 /// True when the 2-step algorithm is distinct from the 1-step one for this
 /// mode (internal modes of tensors with N >= 3).

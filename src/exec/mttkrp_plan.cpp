@@ -1,6 +1,7 @@
 #include "exec/mttkrp_plan.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "blas/blas.hpp"
 #include "core/krp_detail.hpp"
@@ -49,6 +50,9 @@ MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
   for (index_t d : dims_) {
     DMTK_CHECK(d >= 1, "mttkrp: extents must be positive");
   }
+  DMTK_CHECK((method != MttkrpMethod::Acc64 || std::is_same_v<T, float>),
+             "mttkrp: method acc64 needs the fp32 plan (fp32 storage); the "
+             "double plan already sums in fp64");
 
   In_ = dims_[static_cast<std::size_t>(mode)];
   ILn_ = 1;
@@ -223,6 +227,15 @@ void MttkrpPlanT<T>::plan_workspace() {
         plan_gemm_ws(In_, mode_ == 0 ? IRn_ : ILn_, nt_);
       }
       break;
+    case MttkrpMethod::Acc64:
+      plan_packed(full_);
+      p_need(full_);
+      off_kt_full_ = take(static_cast<std::size_t>(C * cosize_));
+      // One fp64 accumulator row of C doubles per thread, counted in T's.
+      stride_thread_row_ = WorkspaceArena::aligned_count<T>(
+          static_cast<std::size_t>(C) * sizeof(double) / sizeof(T));
+      off_thread_row_ = take(snt * stride_thread_row_);
+      break;
     case MttkrpMethod::Auto:
       break;  // unreachable: resolved at construction
   }
@@ -324,6 +337,9 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
       break;
     case MttkrpMethod::TwoStep:
       exec_twostep(X, factors, M, base);
+      break;
+    case MttkrpMethod::Acc64:
+      exec_acc64(X, factors, M, base);
       break;
     case MttkrpMethod::Auto:
       break;  // unreachable
@@ -654,6 +670,54 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
     PhaseTimer pt(&timings_.gemv);
     multi_ttv_right(inter, In_, ILn_, C, KLt, C, M, nt_);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Acc64: fp32 operands, fp64 sums (mixed precision).
+// ---------------------------------------------------------------------------
+template <typename T>
+void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
+                                std::span<const MatrixT<T>> factors,
+                                MatrixT<T>& M, T* base) {
+  const index_t C = rank_;
+  // Full transposed KRP in the storage scalar (C x cosize, column r = KRP
+  // row r); the widening to fp64 happens at accumulate time, per product.
+  T* Kt = base + off_kt_full_;
+  {
+    PhaseTimer pt(&timings_.krp);
+    gather_factors(factors, List::Full, fl_full_);
+    pack(fl_full_, full_, base, packed_full_);
+    krp_transposed_ws(full_, packed_full_, base, off_kt_full_, nt_);
+  }
+
+  // Threads own disjoint ranges of output rows i, each accumulating one
+  // row at a time across every natural block of X(mode) in its private
+  // fp64 row. No reduction, and each entry's summation order never
+  // depends on the team size. (The row is carved in T units; the frame
+  // base is line-aligned and every offset a line multiple.)
+  PhaseTimer pt(&timings_.gemm);
+  parallel_region(nt_, [&](int t, int nteam) {
+    double* arow = static_cast<double*>(static_cast<void*>(
+        base + off_thread_row_ +
+        static_cast<std::size_t>(t) * stride_thread_row_));
+    const Range r = block_range(In_, nteam, t);
+    for (index_t i = r.begin; i < r.end; ++i) {
+      std::fill(arow, arow + C, 0.0);
+      for (index_t j = 0; j < IRn_; ++j) {
+        const T* xrow = X.mode_block(mode_, j) + i * ILn_;
+        const T* kt = Kt + j * ILn_ * C;
+        for (index_t l = 0; l < ILn_; ++l) {
+          const double x = static_cast<double>(xrow[l]);
+          const T* kcol = kt + l * C;
+          for (index_t c = 0; c < C; ++c) {
+            arow[c] += x * static_cast<double>(kcol[c]);
+          }
+        }
+      }
+      // One rounding per output entry: fp64 accumulator -> M.
+      for (index_t c = 0; c < C; ++c) M(i, c) = static_cast<T>(arow[c]);
+    }
+  });
 }
 
 /// M = sum_t Mt over the thread-private partials, parallelized by rows.

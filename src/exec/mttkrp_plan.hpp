@@ -33,10 +33,17 @@
 /// smaller than the team, the batched kernel splits block rows so no
 /// thread idles.
 ///
+/// Acc64 (mixed precision, MttkrpPlanT<float> only) forms the full
+/// transposed fp32 KRP in the arena, then gives each thread a block of
+/// output rows: every row is summed in a per-thread fp64 accumulator row
+/// (also arena-resident) across all natural blocks of X(n) and rounded
+/// once on the store. No reduction, so each entry's summation order — and
+/// the result, bitwise — is independent of the team size. The double plan
+/// rejects the method at construction.
+///
 /// Per-call wall-clock phases accumulate into the plan's MttkrpTimings
-/// (timings()/reset_timings()), replacing the `MttkrpTimings*` out-pointer
-/// of the legacy free function — which survives as a thin wrapper that
-/// builds a transient plan (see core/mttkrp.hpp).
+/// (timings()/reset_timings()); it is the only way to read them — the
+/// one-shot free functions of core/mttkrp.hpp report none.
 ///
 /// The whole plan is templated on the scalar type: MttkrpPlanT<float>
 /// halves the bytes of every matricized pass and KRP, which is the paper's
@@ -147,6 +154,8 @@ class MttkrpPlanT {
                              MatrixT<T>& M, T* base);
   void exec_twostep(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                     MatrixT<T>& M, T* base);
+  void exec_acc64(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
+                  MatrixT<T>& M, T* base);
 
   void reduce_partials(T* base, MatrixT<T>& M, double* reduce_time);
 
@@ -180,8 +189,8 @@ class MttkrpPlanT {
   std::size_t stride_thread_kt_ = 0;
   std::size_t off_thread_p_ = 0;     // per-thread partial-Hadamard table
   std::size_t stride_thread_p_ = 0;
-  std::size_t off_thread_row_ = 0;   // per-thread right-KRP row (C)
-  std::size_t stride_thread_row_ = 0;
+  std::size_t off_thread_row_ = 0;   // per-thread right-KRP row (C T's),
+  std::size_t stride_thread_row_ = 0;  // or Acc64's fp64 row (C doubles)
   std::size_t off_inter_ = 0;        // 2-step first-step intermediate
   std::size_t off_xn_ = 0;           // Reorder: explicit matricization
   std::size_t off_kcol_ = 0;         // Reorder: column-wise KRP (J x C)

@@ -71,6 +71,9 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
   DMTK_CHECK(scheme_ == SweepScheme::PerMode || scheme_ == SweepScheme::DimTree,
              "sweep plan: sparse scheme requested for a dense tensor — "
              "construct the plan from a SparseTensor instead");
+  DMTK_CHECK(scheme_ != SweepScheme::DimTree || method != MttkrpMethod::Acc64,
+             "sweep plan: method acc64 runs per-mode plans; the dimtree "
+             "scheme has its own contraction kernels");
 
   if (scheme_ == SweepScheme::PerMode) {
     mode_plans_.reserve(static_cast<std::size_t>(N));

@@ -176,7 +176,9 @@ class CpAlsSweepPlanT {
 
   /// Plan sweeps for a tensor with extents `dims` at rank `rank`. `method`
   /// selects the per-mode MTTKRP kernel (PerMode scheme only; the tree has
-  /// its own contraction kernels). The context must outlive the plan.
+  /// its own contraction kernels and rejects Acc64, the one method whose
+  /// arithmetic it could not reproduce). The context must outlive the
+  /// plan.
   CpAlsSweepPlanT(const ExecContext& ctx, std::span<const index_t> dims,
                   index_t rank, SweepScheme scheme = SweepScheme::Auto,
                   MttkrpMethod method = MttkrpMethod::Auto);

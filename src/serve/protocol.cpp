@@ -156,6 +156,10 @@ Request parse_request(const Json& j) {
     const std::string name = get_string(*v, "method");
     const auto m = parse_mttkrp_method(name);
     if (!m) bad("unknown mttkrp method \"" + name + '"');
+    if (*m == MttkrpMethod::Acc64 && !r.f32) {
+      bad("field \"method\": \"acc64\" needs \"precision\":\"float\" (the "
+          "double pipeline already sums in fp64)");
+    }
     r.method = *m;
   }
   if (const Json* v = j.find("cold")) r.cold = get_bool(*v, "cold");

@@ -4,10 +4,10 @@
 #   usage: cli_roundtrip.sh <path-to-dmtk-binary>
 #
 # Covers: generate -> info -> decompose -> export in both precisions (dense
-# AND sparse), fp32 HALS, the fp64-accumulate fp32 path, the fp32 payload
-# surfacing in `info`, and the strict-argument audit (every malformed
-# numeric flag and every unknown flag must exit 1 with a usage message,
-# never an uncaught exception, which exits 2).
+# AND sparse), fp32 HALS, the fp64-accumulate fp32 method (acc64), the
+# fp32 payload surfacing in `info`, and the strict-argument audit (every
+# malformed numeric flag and every unknown flag must exit 1 with a usage
+# message, never an uncaught exception, which exits 2).
 
 set -u
 dmtk="$1"
@@ -71,11 +71,21 @@ expect_grep "cp_nnhals\[.*fp32" "${dmtk}" decompose "${work}/x32.dten" \
   --rank 3 --iters 5 --precision float --nn
 # Mixed-precision accumulate: fp32 storage, fp64 MTTKRP sums.
 expect_grep "fp32+acc64" "${dmtk}" decompose "${work}/x32.dten" --rank 3 \
-  --iters 5 --precision float --accumulate double --out "${work}/macc.dktn"
+  --iters 5 --precision float --method acc64 --out "${work}/macc.dktn"
 expect_ok "${dmtk}" export "${work}/macc.dktn" --out-prefix "${work}/facc"
-# ... but it is an fp32-only knob: the double pipeline already sums in fp64.
+# ... but it is an fp32-only method: the double pipeline already sums in
+# fp64, and the dimension tree has its own contraction kernels.
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 5 \
-  --accumulate double
+  --method acc64
+expect_grep "acc64 requires --precision float" "${dmtk}" decompose \
+  "${work}/x64.dten" --rank 3 --iters 5 --method acc64
+expect_usage_error "${dmtk}" decompose "${work}/x32.dten" --rank 3 --iters 5 \
+  --precision float --method acc64 --sweep dimtree
+# On 4-way input Auto resolves to the per-mode sweep acc64 runs in.
+expect_ok "${dmtk}" generate --dims 8x7x6x5 --rank 2 --seed 5 \
+  --out "${work}/x4.dten"
+expect_grep "cp_als\[permode sweep, fp32+acc64\]" "${dmtk}" decompose \
+  "${work}/x4.dten" --rank 2 --iters 3 --precision float --method acc64
 
 # The f32 payload should be roughly half the f64 size.
 s64=$(stat -c %s "${work}/x64.dten")
@@ -104,10 +114,10 @@ expect_ok "${dmtk}" export "${work}/ms32.dktn" --out-prefix "${work}/s32"
 # Spelling out the default is harmless.
 expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
   --precision double
-# The sparse kernel accumulates in fp64 unconditionally, so the dense
-# accumulate knob is refused rather than silently accepted.
+# The sparse kernel accumulates in fp64 unconditionally; acc64 is a dense
+# method, refused like any other --method on .tns input.
 expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
-  --precision float --accumulate double
+  --precision float --method acc64
 
 # --- strict numeric argument audit ----------------------------------------
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank abc
@@ -136,6 +146,10 @@ expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
   --iters 2 --levels 1
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
   --iters 2 --dimtree
+expect_usage_error "${dmtk}" decompose "${work}/x32.dten" --rank 3 \
+  --iters 2 --precision float --accumulate double
+expect_grep "unknown flag --accumulate" "${dmtk}" decompose \
+  "${work}/x32.dten" --rank 3 --iters 2 --precision float --accumulate double
 expect_grep "unknown flag --dimtree" "${dmtk}" decompose "${work}/x64.dten" \
   --rank 3 --iters 2 --dimtree
 expect_grep "unknown flag --bogus" "${dmtk}" decompose "${work}/x64.dten" \

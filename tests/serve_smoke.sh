@@ -4,8 +4,8 @@
 #   usage: serve_smoke.sh <path-to-dmtk-binary>
 #
 # Starts `dmtk serve` on a temp-dir Unix socket, drives it through `dmtk
-# client` — generate -> info -> decompose (both precisions, warm repeat)
-# -> mttkrp -> stats -> shutdown — and requires a clean server exit. The
+# client` — generate -> info -> decompose (both precisions, warm repeat,
+# fp32 acc64 against the batch CLI) -> mttkrp -> stats -> shutdown — and requires a clean server exit. The
 # sed filter drops the conda activation warning some login shells print
 # on stderr, which would otherwise pollute captured JSON checks.
 
@@ -82,6 +82,21 @@ check "decompose f64 (warm repeat)" 0 '"plan":"hit"' \
 check "decompose f32" 0 '"precision":"float"' \
   "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
   --rank 3 --iters 5 --precision float --no-inline
+# Mixed precision runs through the cached fp32 plan, and the served model
+# file is byte-identical to the batch CLI's for the same run.
+check "decompose f32 acc64" 0 '"precision":"float"' \
+  "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
+  --rank 3 --iters 5 --tol 0 --seed 9 --precision float --method acc64 \
+  --out "${work}/served_acc64.dktn" --no-inline
+"${dmtk}" decompose "${work}/cube.dten" --rank 3 --iters 5 --tol 0 --seed 9 \
+  --threads 1 --precision float --method acc64 \
+  --out "${work}/cli_acc64.dktn" > /dev/null 2>&1
+cmp -s "${work}/served_acc64.dktn" "${work}/cli_acc64.dktn" \
+  || { echo "FAIL: served acc64 model differs from the CLI's"; fails=$((fails + 1)); }
+# ... and a double request cannot ask for it: it already sums in fp64.
+check "decompose f64 acc64 is invalid" 3 'invalid_request.*method' \
+  "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
+  --rank 3 --iters 5 --method acc64 --no-inline
 check "decompose to file" 0 '"ok":true' \
   "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
   --rank 3 --iters 5 --out "${work}/model.dktn" --no-inline

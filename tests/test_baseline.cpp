@@ -7,6 +7,8 @@
 
 #include "baseline/ttb_cp_als.hpp"
 #include "core/mttkrp.hpp"
+#include "exec/exec_context.hpp"
+#include "exec/mttkrp_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk::baseline {
@@ -31,12 +33,19 @@ INSTANTIATE_TEST_SUITE_P(AllModes, TtbMttkrpModes,
                          ::testing::Values<index_t>(0, 1, 2, 3));
 
 TEST(TtbMttkrp, PopulatesReorderTiming) {
+  // ttb_mttkrp is a one-shot Reorder plan; the phases it runs are read
+  // from a persistent plan of the same method, which must agree with it.
   Rng rng(31);
   Tensor X = Tensor::random_uniform({10, 12, 14}, rng);
   const std::vector<Matrix> fs = random_factors(X.dims(), 5, rng);
-  MttkrpTimings t;
   Matrix M;
-  ttb_mttkrp(X, fs, 1, M, 1, &t);
+  ttb_mttkrp(X, fs, 1, M, 1);
+  ExecContext ctx(1);
+  MttkrpPlan plan(ctx, X.dims(), 5, 1, MttkrpMethod::Reorder);
+  Matrix Mp;
+  plan.execute(X, fs, Mp);
+  dmtk::testing::expect_matrix_near(Mp, M, 0.0);
+  const MttkrpTimings& t = plan.timings();
   EXPECT_GT(t.reorder, 0.0);  // explicit matricization happened
   EXPECT_GT(t.krp, 0.0);      // explicit KRP happened
   EXPECT_GT(t.gemm, 0.0);

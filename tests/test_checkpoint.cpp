@@ -161,6 +161,18 @@ TEST_F(CheckpointTest, OptionsHashIsStableAcrossReleases) {
   EXPECT_EQ(
       detail::cp_als_options_hash(sparse::SparseTensor({6, 5, 4}), os, 3),
       18018741317555798434ull);
+  // The fp32 mixed-precision run hashes as it did when it was a driver-
+  // level kernel swap (Auto in the method slot, then 0xACC), so its
+  // existing checkpoints still resume; without acc64 the hash differs.
+  CpAlsOptionsF oa;
+  oa.rank = 3;
+  oa.seed = 5;
+  oa.method = MttkrpMethod::Acc64;
+  EXPECT_EQ(detail::cp_als_options_hash(TensorF({4, 5, 6}), oa, 2),
+            16722577897589210598ull);
+  oa.method = MttkrpMethod::Auto;
+  EXPECT_EQ(detail::cp_als_options_hash(TensorF({4, 5, 6}), oa, 2),
+            16081649895022223044ull);
 }
 
 TEST_F(CheckpointTest, CheckpointCadenceFollowsCheckpointEvery) {
@@ -206,20 +218,13 @@ TEST_F(CheckpointTest, ScalarKindMismatchIsAStructuredError) {
 }
 
 TEST_F(CheckpointTest, DivergenceIsReportedAndNeverCheckpointed) {
-  const Tensor X = test_tensor();
+  Tensor X = test_tensor();
+  // One NaN entry detonates the very first MTTKRP: the sweep's lambda /
+  // fit turn non-finite and the guardrail must catch it.
+  X[X.numel() / 2] = std::numeric_limits<double>::quiet_NaN();
   CpAlsOptions o = base_options();
   o.max_iters = 10;
   o.checkpoint_path = path("blown.dckp");
-  // An MTTKRP that detonates on the very first call: the sweep's lambda /
-  // fit turn non-finite and the guardrail must catch it.
-  o.mttkrp_override = [](const Tensor&, std::span<const Matrix>, index_t,
-                         Matrix& M, const ExecContext&) {
-    for (index_t j = 0; j < M.cols(); ++j) {
-      for (index_t i = 0; i < M.rows(); ++i) {
-        M(i, j) = std::numeric_limits<double>::quiet_NaN();
-      }
-    }
-  };
   const CpAlsResult r = cp_als(X, o);
   EXPECT_EQ(r.status, CpAlsStatus::Diverged);
   EXPECT_FALSE(r.converged);

@@ -18,9 +18,11 @@
 //    error is input/output rounding), sparse cp_als<float> lands within
 //    typed tolerance of the double fit, and the sparse float sweep is
 //    allocation-free like the dense one;
-//  - the mixed-precision dense path (mttkrp_acc64 / --accumulate double)
-//    reproduces the fp64 MTTKRP sums bit-for-rounded-bit and recovers the
-//    fp64 fit floor through cp_als;
+//  - the mixed-precision dense method (MttkrpMethod::Acc64 /
+//    --method acc64) reproduces the fp64 MTTKRP sums bit-for-rounded-bit,
+//    is bitwise identical across team sizes, runs heap-free after plan
+//    construction, is refused by the double plan and the dimension tree,
+//    and recovers the fp64 fit floor through cp_als;
 //  - fp32 tensor AND ktensor IO round-trip, and cross-precision reads
 //    convert.
 //
@@ -233,6 +235,7 @@ TEST(FloatZeroAlloc, FloatSweepsDrawOnlyFromTheArena) {
   std::vector<MttkrpPlanF> mode_plans;
   for (index_t mode = 0; mode < X.order(); ++mode) {
     mode_plans.emplace_back(ctx, X.dims(), rank, mode, MttkrpMethod::Auto);
+    mode_plans.emplace_back(ctx, X.dims(), rank, mode, MttkrpMethod::Acc64);
   }
   const std::size_t grows = ctx.arena().grow_count();
   const std::size_t capacity = ctx.arena().capacity();
@@ -381,7 +384,7 @@ TEST(FloatSparseZeroAlloc, FloatSparseSweepsDrawOnlyFromTheArena) {
 TEST(FloatMixedAccumulate, Acc64MatchesTheExactSumsOfTheFp32Inputs) {
   const DualProblem p({7, 6, 5, 4}, 3, 433);
   // The oracle: widen the fp32 operands back to double and run the exact
-  // double kernel — mttkrp_acc64 computes precisely these sums (fp64
+  // double kernel — the acc64 plan computes precisely these sums (fp64
   // accumulators over fp32 inputs), rounding once on the store.
   const Tensor Xw = tensor_cast<double>(p.Xf);
   std::vector<Matrix> fsw;
@@ -391,29 +394,85 @@ TEST(FloatMixedAccumulate, Acc64MatchesTheExactSumsOfTheFp32Inputs) {
     mttkrp(Xw, std::span<const Matrix>(fsw), mode, Mw,
            MttkrpMethod::Reference, 1);
     for (int threads : {1, 3}) {
+      ExecContext ctx(threads);
+      MttkrpPlanF plan(ctx, p.Xf.dims(), 3, mode, MttkrpMethod::Acc64);
+      EXPECT_EQ(plan.resolved_method(), MttkrpMethod::Acc64);
       MatrixF Mf;
-      mttkrp_acc64(p.Xf, p.fsf, mode, Mf, threads);
+      plan.execute(p.Xf, p.fsf, Mf);
       SCOPED_TRACE("mode=" + std::to_string(mode) +
                    " threads=" + std::to_string(threads));
-      // One output rounding away from the exact result, and deterministic
-      // across thread counts (threads own disjoint output rows).
+      // One output rounding away from the exact result.
       testing::expect_matrix_near(matrix_cast<double>(Mf), Mw,
                                   testing::eps_tol<float>(4.0));
     }
   }
-  // Determinism across team sizes, bitwise.
-  MatrixF M1, M4;
-  mttkrp_acc64(p.Xf, p.fsf, 1, M1, 1);
-  mttkrp_acc64(p.Xf, p.fsf, 1, M4, 4);
-  for (index_t i = 0; i < M1.rows(); ++i) {
-    for (index_t c = 0; c < M1.cols(); ++c) ASSERT_EQ(M1(i, c), M4(i, c));
+}
+
+TEST(FloatMixedAccumulate, Acc64IsBitwiseIdenticalAcrossTeamSizes) {
+  // Threads own disjoint output rows, so each entry's fp64 summation order
+  // is fixed whatever the team size.
+  const DualProblem p({9, 8, 7, 6}, 5, 434);
+  for (index_t mode = 0; mode < p.Xf.order(); ++mode) {
+    MatrixF M1;
+    {
+      ExecContext ctx(1);
+      MttkrpPlanF plan(ctx, p.Xf.dims(), 5, mode, MttkrpMethod::Acc64);
+      plan.execute(p.Xf, p.fsf, M1);
+    }
+    for (int threads : {2, 4}) {
+      ExecContext ctx(threads);
+      MttkrpPlanF plan(ctx, p.Xf.dims(), 5, mode, MttkrpMethod::Acc64);
+      MatrixF Mt;
+      plan.execute(p.Xf, p.fsf, Mt);
+      SCOPED_TRACE("mode=" + std::to_string(mode) +
+                   " threads=" + std::to_string(threads));
+      for (index_t i = 0; i < M1.rows(); ++i) {
+        for (index_t c = 0; c < M1.cols(); ++c) ASSERT_EQ(M1(i, c), Mt(i, c));
+      }
+    }
   }
+}
+
+/// The message of the DimensionError `fn` throws ("" when it does not).
+template <typename Fn>
+std::string construction_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const DimensionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FloatMixedAccumulate, Acc64IsRefusedWhereItCannotRun) {
+  const std::vector<index_t> dims{5, 4, 3, 2};
+  ExecContext ctx(1);
+  // The double plan already sums in fp64: acc64 is an fp32 method.
+  EXPECT_NE(construction_error([&] {
+              MttkrpPlan plan(ctx, dims, 2, 1, MttkrpMethod::Acc64);
+            }).find("acc64"),
+            std::string::npos);
+  EXPECT_NE(construction_error([&] {
+              CpAlsSweepPlan plan(ctx, dims, 2, SweepScheme::PerMode,
+                                  MttkrpMethod::Acc64);
+            }).find("acc64"),
+            std::string::npos);
+  // The dimension tree has its own contraction kernels.
+  EXPECT_NE(construction_error([&] {
+              CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::DimTree,
+                                   MttkrpMethod::Acc64);
+            }).find("acc64"),
+            std::string::npos);
+  // Auto pins PerMode for an explicit method, so acc64 runs on 4-way input.
+  const CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::Auto,
+                             MttkrpMethod::Acc64);
+  EXPECT_EQ(plan.scheme(), SweepScheme::PerMode);
 }
 
 TEST(FloatMixedAccumulate, Acc64CpAlsRecoversTheFp64FitFloor) {
   // A planted model: the fp64 run converges to an essentially exact fit.
   // The plain fp32 run stalls at the fp32 noise floor; swapping only the
-  // MTTKRP for the fp64-accumulate kernel must pull the fit back to the
+  // MTTKRP for the fp64-accumulate method must pull the fit back to the
   // fp64 floor (within the fp32 Gram/solve noise that remains).
   const std::vector<index_t> dims{14, 12, 10};
   Rng rng(61);
@@ -432,7 +491,7 @@ TEST(FloatMixedAccumulate, Acc64CpAlsRecoversTheFp64FitFloor) {
   of.tol = 1e-7;
   of.seed = 31;
   CpAlsOptionsF oa = of;
-  oa.mttkrp_override = mttkrp_acc64_override();
+  oa.method = MttkrpMethod::Acc64;
 
   const CpAlsResult rd = cp_als(Xd, od);
   const CpAlsResultF rf = cp_als(Xf, of);

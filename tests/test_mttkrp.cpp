@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/mttkrp.hpp"
+#include "exec/exec_context.hpp"
+#include "exec/mttkrp_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk {
@@ -131,29 +133,34 @@ TEST(Mttkrp, BothTwoStepSidesAgree) {
 
 TEST(Mttkrp, AutoPolicyMatchesPaper) {
   // Auto = 1-step on external modes, 2-step internally. Verify via the
-  // timing categories each method populates: 2-step fills gemv, external
+  // timing categories each plan populates: 2-step fills gemv, external
   // 1-step fills krp + reduce.
   Rng rng(56);
   Tensor X = Tensor::random_uniform({6, 7, 8}, rng);
   const std::vector<Matrix> fs = random_factors(X.dims(), 3, rng);
+  ExecContext ctx(2);
+  Matrix M;
 
-  MttkrpTimings t0;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::Auto, 2, &t0);
-  EXPECT_GT(t0.reduce, 0.0);  // external -> 1-step's reduction ran
-  EXPECT_EQ(t0.gemv, 0.0);
+  MttkrpPlan p0(ctx, X.dims(), 3, 0, MttkrpMethod::Auto);
+  p0.execute(X, fs, M);
+  EXPECT_GT(p0.timings().reduce, 0.0);  // external -> 1-step's reduction ran
+  EXPECT_EQ(p0.timings().gemv, 0.0);
 
-  MttkrpTimings t1;
-  (void)mttkrp(X, fs, 1, MttkrpMethod::Auto, 2, &t1);
-  EXPECT_GT(t1.gemv, 0.0);  // internal -> 2-step's multi-TTV ran
-  EXPECT_EQ(t1.reduce, 0.0);
+  MttkrpPlan p1(ctx, X.dims(), 3, 1, MttkrpMethod::Auto);
+  p1.execute(X, fs, M);
+  EXPECT_GT(p1.timings().gemv, 0.0);  // internal -> 2-step's multi-TTV ran
+  EXPECT_EQ(p1.timings().reduce, 0.0);
 }
 
 TEST(Mttkrp, TimingsSumApproximatelyToTotal) {
   Rng rng(57);
   Tensor X = Tensor::random_uniform({20, 21, 22}, rng);
   const std::vector<Matrix> fs = random_factors(X.dims(), 10, rng);
-  MttkrpTimings t;
-  (void)mttkrp(X, fs, 1, MttkrpMethod::TwoStep, 1, &t);
+  ExecContext ctx(1);
+  MttkrpPlan plan(ctx, X.dims(), 10, 1, MttkrpMethod::TwoStep);
+  Matrix M;
+  plan.execute(X, fs, M);
+  const MttkrpTimings& t = plan.timings();
   EXPECT_GT(t.total, 0.0);
   const double parts = t.krp + t.krp_lr + t.gemm + t.gemv + t.reduce +
                        t.reorder;
@@ -165,11 +172,15 @@ TEST(Mttkrp, TimingsAccumulateAcrossCalls) {
   Rng rng(58);
   Tensor X = Tensor::random_uniform({6, 6, 6}, rng);
   const std::vector<Matrix> fs = random_factors(X.dims(), 2, rng);
-  MttkrpTimings t;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::OneStep, 1, &t);
-  const double total1 = t.total;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::OneStep, 1, &t);
-  EXPECT_GT(t.total, total1);
+  ExecContext ctx(1);
+  MttkrpPlan plan(ctx, X.dims(), 2, 0, MttkrpMethod::OneStep);
+  Matrix M;
+  plan.execute(X, fs, M);
+  const double total1 = plan.timings().total;
+  plan.execute(X, fs, M);
+  EXPECT_GT(plan.timings().total, total1);
+  plan.reset_timings();
+  EXPECT_EQ(plan.timings().total, 0.0);
 }
 
 TEST(Mttkrp, TimingsPlusEquals) {

@@ -192,6 +192,45 @@ TEST_F(ServeTest, FloatDecomposeMatchesDirectFloatCpAls) {
             ktensor_to_json(direct.model).dump());
 }
 
+TEST_F(ServeTest, Acc64DecomposeRunsThroughTheCachedPlan) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  start(so);
+  const std::string tensor = make_dense("cube.dten", {12, 10, 8, 6});
+
+  Json req = decompose_req(tensor, 3, 4, 99);
+  req.set("precision", Json("float"));
+  req.set("method", Json("acc64"));
+  const Json resp = roundtrip(req);
+  ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+  // An explicit method pins the per-mode sweep on 4-way input.
+  EXPECT_EQ(resp.find("scheme")->as_string(), "permode");
+
+  CpAlsOptionsF o;
+  o.rank = 3;
+  o.max_iters = 4;
+  o.tol = 0.0;
+  o.seed = 99;
+  o.threads = 1;
+  o.method = MttkrpMethod::Acc64;
+  const CpAlsResultF direct = cp_als(io::read_tensor_as<float>(tensor), o);
+  EXPECT_EQ(resp.find("model")->dump(),
+            ktensor_to_json(direct.model).dump());
+  const Json again = roundtrip(req);
+  EXPECT_EQ(again.find("plan")->as_string(), "hit");
+  EXPECT_EQ(again.find("model")->dump(), resp.find("model")->dump());
+
+  // The double pipeline already sums in fp64: refused at validation,
+  // naming the field.
+  req.set("precision", Json("double"));
+  const Json bad = roundtrip(req);
+  EXPECT_FALSE(bad.find("ok")->as_bool());
+  EXPECT_EQ(bad.find("error")->find("code")->as_string(), "invalid_request");
+  const std::string msg = bad.find("error")->find("message")->as_string();
+  EXPECT_NE(msg.find("\"method\""), std::string::npos) << msg;
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache behavior through the wire
 // ---------------------------------------------------------------------------

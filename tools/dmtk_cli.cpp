@@ -72,9 +72,10 @@ using namespace dmtk;
       "             --quick shrinks every probe to a seconds-long smoke,\n"
       "             --json prints the full measurement report)\n"
       "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
-      "            [--precision double|float] [--accumulate double|float]\n"
+      "            [--precision double|float]\n"
       "            [--sweep permode|dimtree|auto]\n"
-      "            [--method reference|reorder|1-step-seq|1-step|2-step|auto]\n"
+      "            [--method reference|reorder|1-step-seq|1-step|2-step|auto\n"
+      "                      |acc64]\n"
       "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
       "            (--checkpoint writes a crash-safe sweep checkpoint every\n"
@@ -84,10 +85,10 @@ using namespace dmtk;
       "             auto picks dimtree for 4-way-and-up tensors;\n"
       "             --precision float runs the whole ALS pipeline in fp32 —\n"
       "             half the memory bandwidth, fit accurate to ~1e-4;\n"
-      "             --accumulate double keeps fp32 storage but sums every\n"
-      "             MTTKRP entry in fp64, recovering the fp64 fit floor at\n"
-      "             fp32 storage cost — slower per sweep: the fp64 loop\n"
-      "             skips the blocked kernels)\n"
+      "             --method acc64 (needs --precision float) keeps fp32\n"
+      "             storage but sums every MTTKRP entry in fp64, recovering\n"
+      "             the fp64 fit floor at fp32 storage cost — slower per\n"
+      "             sweep: the fp64 loop skips the blocked kernels)\n"
       "            (--wisdom loads a tuned profile STRICTLY: a missing,\n"
       "             corrupt, or other-CPU profile aborts the run; the\n"
       "             DMTK_WISDOM env autoloads leniently instead)\n"
@@ -235,16 +236,6 @@ bool flag_wants_f32(const Flags& f) {
   if (p == "double" || p == "fp64" || p == "f64") return false;
   if (p == "float" || p == "fp32" || p == "f32" || p == "single") return true;
   usage_error("--precision expects double|float, got '" + p + "'");
-}
-
-/// --accumulate: float (the storage scalar; default) or double (the
-/// fp64-accumulate fp32 MTTKRP kernel); usage error otherwise. Only
-/// meaningful with --precision float — callers gate on flag presence.
-bool flag_wants_acc64(const Flags& f) {
-  const std::string a = flag_str(f, "accumulate", "float");
-  if (a == "float" || a == "fp32" || a == "f32") return false;
-  if (a == "double" || a == "fp64" || a == "f64") return true;
-  usage_error("--accumulate expects double|float, got '" + a + "'");
 }
 
 /// The .tns extension selects the sparse (FROSTT text) path.
@@ -509,15 +500,6 @@ int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
       return 1;
     }
   }
-  // The CSF kernel accumulates in fp64 for either storage scalar, so
-  // --accumulate has nothing to select here; rejecting beats silently
-  // accepting a knob that cannot change the arithmetic.
-  if (flags.count("accumulate") != 0) {
-    std::fprintf(stderr,
-                 "--accumulate is dense-only: the sparse CSF kernel "
-                 "always accumulates in fp64\n");
-    return 1;
-  }
   const bool f32 = flag_wants_f32(flags);
   flag_load_wisdom(flags);
   const sparse::SparseTensor S = io::read_tns(pos);
@@ -618,12 +600,11 @@ int cmd_decompose_sparse(const std::string& pos, const Flags& flags) {
 
 /// Dense fp32 decompose: the tensor is read (or converted) straight into
 /// fp32 — never staged as a second full double copy — and the whole ALS
-/// pipeline (plans, kernels, solve, fit) runs in float. With `acc64` the
-/// MTTKRPs route through the fp64-accumulate kernel instead of the fp32
-/// plans. The model is written as a native f32 payload.
+/// pipeline (plans, kernels, solve, fit) runs in float — with fp64 MTTKRP
+/// sums under --method acc64. The model is written as a native f32
+/// payload.
 int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
-                      SweepScheme resolved, const std::string& out, bool nn,
-                      bool acc64) {
+                      SweepScheme resolved, const std::string& out, bool nn) {
   ExecContext ctx(dopts.exec != nullptr ? dopts.exec->threads() : 0);
   const TensorF X = io::read_tensor_as<float>(pos, ctx.threads());
   CpAlsOptionsF opts;
@@ -637,14 +618,14 @@ int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
   opts.checkpoint_path = dopts.checkpoint_path;
   opts.checkpoint_every = dopts.checkpoint_every;
   opts.resume = dopts.resume;
-  if (acc64) opts.mttkrp_override = mttkrp_acc64_override();
 
   WallTimer t;
   const CpAlsResultF r = nn ? cp_nnhals(X, opts) : cp_als(X, opts);
   std::printf(
       "%s[%s sweep, %s]: rank %lld, fit %.6f, %d sweeps (%s), %.2f s\n",
       nn ? "cp_nnhals" : "cp_als", std::string(to_string(resolved)).c_str(),
-      acc64 ? "fp32+acc64" : "fp32", static_cast<long long>(opts.rank),
+      opts.method == MttkrpMethod::Acc64 ? "fp32+acc64" : "fp32",
+      static_cast<long long>(opts.rank),
       r.final_fit, r.iterations, to_string(r.status), t.seconds());
   if (r.resumed_sweeps > 0) {
     std::printf("resumed from checkpoint at sweep %d\n", r.resumed_sweeps);
@@ -660,7 +641,7 @@ int cmd_decompose(int argc, char** argv) {
   const Args args = parse_args(
       argc, argv,
       {"rank", "iters", "tol", "seed", "threads", "out", "wisdom",
-       "precision", "accumulate", "sweep", "method", "checkpoint",
+       "precision", "sweep", "method", "checkpoint",
        "checkpoint-every"},
       {"nn", "resume"});
   const Flags& flags = args.flags;
@@ -719,6 +700,12 @@ int cmd_decompose(int argc, char** argv) {
       std::fprintf(stderr, "unknown MTTKRP method '%s'\n", method_s.c_str());
       return 1;
     }
+    if (*m == MttkrpMethod::Acc64 && !f32) {
+      std::fprintf(stderr,
+                   "--method acc64 requires --precision float (the double "
+                   "pipeline already accumulates in fp64)\n");
+      return 1;
+    }
     opts.method = *m;
   }
   // What a plan built from these options will actually run (Auto picks
@@ -728,15 +715,9 @@ int cmd_decompose(int argc, char** argv) {
   // request.
   const SweepScheme resolved =
       resolve_sweep_scheme(opts.sweep_scheme, order, opts.method);
-  if (flags.count("accumulate") != 0 && !f32) {
-    std::fprintf(stderr,
-                 "--accumulate requires --precision float (the double "
-                 "pipeline already accumulates in fp64)\n");
-    return 1;
-  }
   if (f32) {
     return cmd_decompose_f32(pos, opts, resolved, flag_str(flags, "out"),
-                             flags.count("nn") != 0, flag_wants_acc64(flags));
+                             flags.count("nn") != 0);
   }
   const Tensor X = io::read_tensor(pos, ctx.threads());
 
